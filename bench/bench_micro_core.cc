@@ -27,7 +27,6 @@
 #include "schema/apb1.h"
 #include "schema/star_schema.h"
 #include "workload/arrival_generator.h"
-#include "workload/query_parser.h"
 
 namespace {
 
@@ -156,18 +155,6 @@ void BM_BtreeRangeScan(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BtreeRangeScan);
-
-void BM_ParseStarQuery(benchmark::State& state) {
-  const auto schema = mdw::MakeApb1Schema();
-  const std::string sql =
-      "SELECT SUM(UnitsSold), SUM(DollarSales) FROM sales "
-      "WHERE time.month = 3 AND product.group = 41";
-  std::string error;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(mdw::ParseStarQuery(schema, sql, &error));
-  }
-}
-BENCHMARK(BM_ParseStarQuery);
 
 void BM_PlanUnsupportedQuery(benchmark::State& state) {
   // 1STORE's plan includes full slices (24 x 480 values).
@@ -651,7 +638,7 @@ void BM_MultiUserServe(benchmark::State& state) {
     deadline_missed = static_cast<double>(batch.serving->total.deadline_missed);
     degraded = static_cast<double>(batch.serving->total.degraded);
     served = std::max(1.0, static_cast<double>(batch.queries.size()));
-    benchmark::DoNotOptimize(batch.total_aggregate->rows);
+    benchmark::DoNotOptimize(batch.queries.data());
   }
   state.counters["streams"] = static_cast<double>(streams);
   state.counters["p99_response_vt"] = p99;

@@ -15,32 +15,6 @@ namespace {
 // runs inline instead.
 thread_local bool tls_pool_worker = false;
 
-/// Completion protocol shared by the ParallelFor variants: every executed
-/// item calls Mark() exactly once; the caller blocks in AwaitAll() until
-/// all `total` items are done (stragglers may still be inside their drain
-/// loop at that point — they only touch this state, which the helper
-/// closures keep alive).
-struct Completion {
-  std::atomic<std::int64_t> done{0};
-  std::int64_t total = 0;
-  std::mutex mu;
-  std::condition_variable all_done;
-
-  void Mark() {
-    if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == total) {
-      std::lock_guard<std::mutex> lock(mu);
-      all_done.notify_all();
-    }
-  }
-
-  void AwaitAll() {
-    std::unique_lock<std::mutex> lock(mu);
-    all_done.wait(lock, [&] {
-      return done.load(std::memory_order_acquire) == total;
-    });
-  }
-};
-
 }  // namespace
 
 ThreadPool::ThreadPool(int num_threads) {
@@ -83,81 +57,11 @@ void ThreadPool::WorkerLoop() {
   }
 }
 
-void ThreadPool::RunDrain(std::int64_t total,
-                          const std::function<void()>& drain) const {
-  const std::int64_t helpers = std::min<std::int64_t>(
-      static_cast<std::int64_t>(workers_.size()), total - 1);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (std::int64_t h = 0; h < helpers; ++h) {
-      tasks_.emplace_back(drain);
-    }
-  }
-  if (helpers == 1) {
-    cv_.notify_one();
-  } else if (helpers > 1) {
-    cv_.notify_all();
-  }
-  // The caller claims work too, then (in AwaitAll) waits for stragglers
-  // to finish the items they already claimed.
-  drain();
-}
-
-void ThreadPool::ParallelFor(
-    std::int64_t n, const std::function<void(std::int64_t)>& fn) const {
-  ParallelFor(n, fn, CancellationToken());
-}
-
 bool ThreadPool::ParallelFor(std::int64_t n,
                              const std::function<void(std::int64_t)>& fn,
                              const CancellationToken& cancel) const {
-  if (n <= 0) return true;
-  if (n == 1 || tls_pool_worker) {
-    for (std::int64_t i = 0; i < n; ++i) {
-      if (cancel.ShouldStop()) return false;
-      fn(i);
-    }
-    return true;
-  }
-
-  // Shared claim/completion state; kept alive by the helper closures in
-  // case stragglers dequeue after the caller has already returned.
-  struct ForState {
-    std::atomic<std::int64_t> next{0};
-    std::atomic<std::int64_t> skipped{0};
-    const std::function<void(std::int64_t)>* fn;
-    CancellationToken cancel;
-    Completion completion;
-  };
-  auto state = std::make_shared<ForState>();
-  state->completion.total = n;
-  state->fn = &fn;
-  state->cancel = cancel;
-
-  RunDrain(n, [state] {
-    ForState& s = *state;
-    while (true) {
-      const std::int64_t i = s.next.fetch_add(1, std::memory_order_relaxed);
-      if (i >= s.completion.total) break;
-      // A tripped token abandons the index, but the claim still counts
-      // toward completion so the caller's AwaitAll terminates promptly:
-      // every lane races through the remaining claims without running fn.
-      if (s.cancel.ShouldStop()) {
-        s.skipped.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        (*s.fn)(i);
-      }
-      s.completion.Mark();
-    }
-  });
-  state->completion.AwaitAll();
-  return state->skipped.load(std::memory_order_acquire) == 0;
-}
-
-void ThreadPool::ParallelForQueues(
-    const std::vector<std::int64_t>& queue_sizes,
-    const std::function<void(int, std::int64_t)>& fn) const {
-  ParallelForQueues(queue_sizes, fn, CancellationToken());
+  return ParallelForQueues(
+      {n}, [&fn](int /*queue*/, std::int64_t i) { fn(i); }, cancel);
 }
 
 bool ThreadPool::ParallelForQueues(
@@ -183,15 +87,20 @@ bool ThreadPool::ParallelForQueues(
   }
 
   // Shared claim/completion state; kept alive by the helper closures in
-  // case stragglers dequeue after the caller has already returned.
+  // case stragglers dequeue after the caller has already returned. Every
+  // claimed item (run or abandoned) counts toward `done` exactly once;
+  // the caller waits until all `total` items are done.
   struct QueuesState {
     std::unique_ptr<std::atomic<std::int64_t>[]> next;
     std::atomic<int> owner{0};
     std::atomic<std::int64_t> skipped{0};
+    std::atomic<std::int64_t> done{0};
+    std::int64_t total = 0;
     std::vector<std::int64_t> sizes;
     const std::function<void(int, std::int64_t)>* fn;
     CancellationToken cancel;
-    Completion completion;
+    std::mutex mu;
+    std::condition_variable all_done;
   };
   auto state = std::make_shared<QueuesState>();
   state->next =
@@ -199,11 +108,11 @@ bool ThreadPool::ParallelForQueues(
           static_cast<std::size_t>(num_queues));
   for (int q = 0; q < num_queues; ++q) state->next[q].store(0);
   state->sizes = queue_sizes;
-  state->completion.total = total;
+  state->total = total;
   state->fn = &fn;
   state->cancel = cancel;
 
-  RunDrain(total, [state, num_queues] {
+  const auto drain = [state, num_queues] {
     // Affinity phase: claim the next unowned queue and drain it; once it
     // is empty, steal from the other queues in cyclic order. A cursor past
     // a queue's size just means the queue is drained.
@@ -216,18 +125,43 @@ bool ThreadPool::ParallelForQueues(
         const std::int64_t i =
             s.next[q].fetch_add(1, std::memory_order_relaxed);
         if (i >= s.sizes[static_cast<std::size_t>(q)]) break;
-        // Same abandon-but-count protocol as the cancellable
-        // ParallelFor: claims keep draining so AwaitAll terminates.
+        // A tripped token abandons the item, but the claim still counts
+        // toward completion so the caller's wait terminates promptly:
+        // every lane races through the remaining claims without running
+        // fn.
         if (s.cancel.ShouldStop()) {
           s.skipped.fetch_add(1, std::memory_order_relaxed);
         } else {
           (*s.fn)(q, i);
         }
-        s.completion.Mark();
+        if (s.done.fetch_add(1, std::memory_order_acq_rel) + 1 == s.total) {
+          std::lock_guard<std::mutex> lock(s.mu);
+          s.all_done.notify_all();
+        }
       }
     }
-  });
-  state->completion.AwaitAll();
+  };
+
+  // Up to `total - 1` helper tasks; the caller drains too, then waits for
+  // stragglers to finish the items they already claimed.
+  const std::int64_t helpers = std::min<std::int64_t>(
+      static_cast<std::int64_t>(workers_.size()), total - 1);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    for (std::int64_t h = 0; h < helpers; ++h) tasks_.emplace_back(drain);
+  }
+  if (helpers == 1) {
+    cv_.notify_one();
+  } else if (helpers > 1) {
+    cv_.notify_all();
+  }
+  drain();
+  {
+    std::unique_lock<std::mutex> lock(state->mu);
+    state->all_done.wait(lock, [&] {
+      return state->done.load(std::memory_order_acquire) == state->total;
+    });
+  }
   return state->skipped.load(std::memory_order_acquire) == 0;
 }
 

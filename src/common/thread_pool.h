@@ -42,25 +42,13 @@ class ThreadPool {
   static int ResolveWorkers(int num_workers);
 
   /// Runs fn(i) for every i in [0, n) exactly once, distributing indices
-  /// dynamically over the pool's workers plus the calling thread, and
-  /// returns when all n invocations have finished. fn must be safe to
-  /// invoke concurrently for distinct indices. Reentrant calls from inside
-  /// a pool task degrade to a serial loop on the calling thread, so nested
-  /// use cannot deadlock the pool.
-  void ParallelFor(std::int64_t n,
-                   const std::function<void(std::int64_t)>& fn) const;
-
-  /// Cancellable ParallelFor: polls `cancel` before every index claim.
-  /// Once the token trips, no further fn invocations start (in-flight
-  /// ones run to completion — cancellation is cooperative). Returns true
-  /// iff every index in [0, n) actually ran; false means at least one
-  /// index was abandoned, so per-index partials are incomplete and the
-  /// caller must discard them (the determinism contract covers only
-  /// complete runs). An unarmed token never trips: behaviour and cost
-  /// match the plain overload up to one null check per index.
+  /// dynamically (in ascending claim order) over the pool's workers plus
+  /// the calling thread, and returns when all n invocations have
+  /// finished: ParallelForQueues with one queue. fn must be safe to
+  /// invoke concurrently for distinct indices.
   bool ParallelFor(std::int64_t n,
                    const std::function<void(std::int64_t)>& fn,
-                   const CancellationToken& cancel) const;
+                   const CancellationToken& cancel = {}) const;
 
   /// Affinity scheduling with idle-worker stealing: `queue_sizes[q]` items
   /// sit in queue q; fn(q, i) is invoked exactly once for every queue q and
@@ -71,30 +59,25 @@ class ThreadPool {
   /// remaining queues in cyclic order until nothing is left. Used by the
   /// sharded executor: one queue per shard keeps a worker on one shard's
   /// rows while it lasts, stealing only when its shard runs dry, so skewed
-  /// shards never idle the rest of the pool. Same exactly-once and
-  /// reentrancy guarantees as ParallelFor; determinism is the caller's
+  /// shards never idle the rest of the pool. Reentrant calls from inside
+  /// a pool task degrade to a serial loop on the calling thread, so
+  /// nested use cannot deadlock the pool. Determinism is the caller's
   /// merge discipline (per-item slots, fixed merge order).
-  void ParallelForQueues(
-      const std::vector<std::int64_t>& queue_sizes,
-      const std::function<void(int, std::int64_t)>& fn) const;
-
-  /// Cancellable ParallelForQueues; same tripped-token semantics and
-  /// all-items-ran return value as the cancellable ParallelFor.
+  ///
+  /// Cancellation: `cancel` is polled before every item claim. Once the
+  /// token trips, no further fn invocations start (in-flight ones run to
+  /// completion — cancellation is cooperative). Returns true iff every
+  /// item actually ran; false means at least one item was abandoned, so
+  /// per-item partials are incomplete and the caller must discard them.
+  /// The default unarmed token never trips and costs one null check per
+  /// item.
   bool ParallelForQueues(
       const std::vector<std::int64_t>& queue_sizes,
       const std::function<void(int, std::int64_t)>& fn,
-      const CancellationToken& cancel) const;
+      const CancellationToken& cancel = {}) const;
 
  private:
   void WorkerLoop();
-  /// Shared scaffolding of the ParallelFor variants: enqueues up to
-  /// `total - 1` helper tasks running `drain` (which must keep claiming
-  /// items until none are left), wakes workers, and runs `drain` on the
-  /// calling thread too. Completion is the caller's to await — drain
-  /// closures own the shared state, so stragglers outlive the call
-  /// safely.
-  void RunDrain(std::int64_t total,
-                const std::function<void()>& drain) const;
 
   mutable std::mutex mu_;
   mutable std::condition_variable cv_;

@@ -44,8 +44,8 @@ MaterializedBackend::MaterializedBackend(
       num_workers_(ThreadPool::ResolveWorkers(num_workers)) {
   MDW_CHECK(warehouse_ != nullptr && fragmentation_ != nullptr,
             "materialized backend needs a warehouse and a fragmentation");
-  MDW_CHECK(&fragmentation_->schema() == &warehouse_->schema(),
-            "fragmentation must belong to the warehouse schema");
+  MDW_CHECK(warehouse_->ClusteredFor(*fragmentation_),
+            "fragmentation must match the warehouse's clustering");
 }
 
 const ThreadPool* MaterializedBackend::pool() const {
@@ -66,20 +66,11 @@ QueryOutcome MaterializedBackend::ExecuteWith(
   auto mdhf = warehouse_->ExecuteWithPlan(query, plan, pool, scratch, options);
   // Prefer the execution's own record over the façade's plan where both
   // exist, so reported facts can never drift from what actually ran.
+  static_cast<MiniWarehouse::ExecStats&>(outcome) = mdhf;
   outcome.query_class = mdhf.query_class;
   outcome.io_class = mdhf.io_class;
-  outcome.fragments_processed = mdhf.fragments_processed;
   outcome.bitmaps_per_fragment = mdhf.bitmaps_read;
-  outcome.rows_scanned = mdhf.rows_scanned;
-  outcome.fragments_summarized = mdhf.fragments_summarized;
-  outcome.rows_summarized = mdhf.rows_summarized;
-  outcome.pages_read = mdhf.pages_read;
-  outcome.buffer_hits = mdhf.buffer_hits;
-  outcome.bytes_read = mdhf.bytes_read;
   outcome.status = mdhf.status;
-  outcome.io_errors = mdhf.io_errors;
-  outcome.io_retries = mdhf.io_retries;
-  outcome.checksum_failures = mdhf.checksum_failures;
   outcome.shard_skew = mdhf.ShardSkew();
   outcome.shards = std::move(mdhf.shards);
   outcome.degraded = mdhf.degraded;
@@ -120,9 +111,9 @@ BatchOutcome MaterializedBackend::ExecuteBatch(
       batch_pool != nullptr && queries.size() > 1) {
     // Inter-query parallelism: one task per query, each executed serially
     // inside its task (the pool is never nested). Outcomes land in input
-    // order; the total is summed in input order — deterministic. Each
-    // task owns a scratch for the query it claims (scratches are not
-    // thread-safe, so the serial per-batch reuse doesn't apply here).
+    // order — deterministic. Each task owns a scratch for the query it
+    // claims (scratches are not thread-safe, so the serial per-batch
+    // reuse doesn't apply here).
     std::vector<QueryOutcome> outcomes(queries.size());
     batch_pool->ParallelFor(static_cast<std::int64_t>(queries.size()),
                             [&](std::int64_t i) {
@@ -141,15 +132,6 @@ BatchOutcome MaterializedBackend::ExecuteBatch(
           ExecuteWith(queries[i], plans[i], pool(), &scratch));
     }
   }
-  MiniWarehouse::AggregateResult total;
-  for (const auto& outcome : batch.queries) {
-    if (!outcome.aggregate.has_value()) continue;  // failed query: no sum
-    const auto& agg = *outcome.aggregate;
-    total.rows += agg.rows;
-    total.units_sold += agg.units_sold;
-    total.dollar_sales_cents += agg.dollar_sales_cents;
-  }
-  batch.total_aggregate = total;
   return batch;
 }
 
@@ -166,11 +148,10 @@ BatchOutcome MaterializedBackend::Serve(std::span<const Arrival> arrivals,
   for (const auto& plan : plans) demands.push_back(VirtualDemand(plan));
   // Covered (degraded-mode) demands unlock OverloadPolicy::kDegrade,
   // but only when this warehouse can actually answer covered-only
-  // queries (summaries over the matching clustered layout); otherwise
-  // expiring queries shed instead of degrading.
+  // queries (it has summaries); otherwise expiring queries shed instead
+  // of degrading.
   std::vector<std::int64_t> covered_demands;
-  if (warehouse_->summaries_enabled() &&
-      warehouse_->ClusteredFor(*fragmentation_)) {
+  if (warehouse_->summaries_enabled()) {
     covered_demands.reserve(plans.size());
     for (std::size_t i = 0; i < plans.size(); ++i) {
       // A plan grouped below the fragmentation level cannot run
@@ -226,23 +207,19 @@ BatchOutcome MaterializedBackend::Serve(std::span<const Arrival> arrivals,
             ? CancellationToken::WithTimeoutMicros(config.exec_deadline_us,
                                                    {}, config.cancel)
             : config.cancel;
-    QueryOutcome out;
-    if (options.cancel.ShouldStop()) {
-      // Tripped before this query even started: skip execution.
-      out = OutcomeFromPlan(BackendKind::kMaterialized, plans[ai]);
-      out.status = options.cancel.CancelStatus();
-    } else {
-      out = ExecuteWith(arrivals[ai].query, plans[ai], nullptr, scratch,
-                        options);
-    }
+    // A token tripped before this query even started yields its typed
+    // status (with the plan facts) from the executor's entry checkpoint.
+    QueryOutcome out =
+        ExecuteWith(arrivals[ai].query, plans[ai], nullptr, scratch, options);
     // Requeue-on-error: re-execute in this query's own dispatch slot
     // (the virtual-time schedule never moves) until the error clears or
     // the budget runs out. Cancelled/expired queries are never retried,
     // and a query whose deadline expires between attempts skips its
     // re-execution — its storage error is replaced by the typed
-    // deadline status (counted deadline_missed, not failed). Failure
-    // counters accumulate across attempts so the outcome accounts for
-    // the whole fight, not just the last round.
+    // deadline status (counted deadline_missed, not failed). The failed
+    // attempts' I/O and failure counters accumulate into the totals and
+    // each shard's record, so the outcome accounts for the whole fight,
+    // not just the last round, and its shards still sum to its totals.
     while (!out.status.ok() && !is_cancel_code(out.status.code()) &&
            out.requeues < config.max_requeues) {
       if (options.cancel.ShouldStop()) {
@@ -252,12 +229,10 @@ BatchOutcome MaterializedBackend::Serve(std::span<const Arrival> arrivals,
       }
       QueryOutcome retry = ExecuteWith(arrivals[ai].query, plans[ai], nullptr,
                                        scratch, options);
-      retry.io_errors += out.io_errors;
-      retry.io_retries += out.io_retries;
-      retry.checksum_failures += out.checksum_failures;
-      retry.pages_read += out.pages_read;
-      retry.buffer_hits += out.buffer_hits;
-      retry.bytes_read += out.bytes_read;
+      retry.IoCounters::Merge(out);
+      for (std::size_t s = 0; s < retry.shards.size(); ++s) {
+        retry.shards[s].IoCounters::Merge(out.shards[s]);
+      }
       retry.requeues = out.requeues + 1;
       out = std::move(retry);
     }
@@ -278,15 +253,6 @@ BatchOutcome MaterializedBackend::Serve(std::span<const Arrival> arrivals,
   }
   batch.queries = std::move(outcomes);
 
-  MiniWarehouse::AggregateResult total;
-  for (const auto& outcome : batch.queries) {
-    if (!outcome.aggregate.has_value()) continue;  // failed query: no sum
-    const auto& agg = *outcome.aggregate;
-    total.rows += agg.rows;
-    total.units_sold += agg.units_sold;
-    total.dollar_sales_cents += agg.dollar_sales_cents;
-  }
-  batch.total_aggregate = total;
   ServeMetrics metrics = ComputeServeMetrics(schedule, arrivals, config);
   // Failure accounting by stream: outcome slot k is the k-th served query
   // in admission order, so its schedule record (and stream) is

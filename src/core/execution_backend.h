@@ -33,10 +33,15 @@ const char* ToString(BackendKind kind);
 /// Unified result of executing one star query through any backend.
 ///
 /// Population rules:
-/// - The plan facts are ALWAYS present, on every backend — they come
-///   from the QueryPlan the façade derived (plan-first pipeline; see
+/// - The plan facts (including the ExecStats base's
+///   fragments_processed) are ALWAYS present, on every backend and on
+///   every outcome, a failed or cancelled one included — they come from
+///   the QueryPlan the façade derived (plan-first pipeline; see
 ///   docs/ARCHITECTURE.md). On kMaterialized they are overwritten with
 ///   the execution's own record, so they can never drift from what ran.
+/// - The other ExecStats counters (see MiniWarehouse::ExecStats for their
+///   meaning) are populated by kMaterialized only; on kSimulated they
+///   stay 0 (its I/O counts live in `sim` instead).
 /// - `table` is the primary functional result, engaged IFF
 ///   backend == kMaterialized AND `status` is ok. It carries the
 ///   query's AggregateSpec/GroupBy/OrderBy and one GroupRow per
@@ -45,25 +50,24 @@ const char* ToString(BackendKind kind);
 ///   zero-group table: exactly one row with key 0 summing every
 ///   matching fact row — even when no row matched (SQL semantics for an
 ///   ungrouped aggregate).
-/// - `aggregate` and `rows_scanned` are populated IFF
-///   backend == kMaterialized (`aggregate` engaged, exact SUMs over the
-///   matching rows). `aggregate` survives as the deprecated scalar
-///   mirror of the zero-group case: it always holds the grand total
-///   over all groups (equal to the ungrouped table's only row); new
-///   code should read `table`. On kSimulated both are nullopt — the
-///   fact data is never materialised, so there is nothing to sum.
+/// - `aggregate` is engaged IFF backend == kMaterialized AND `status` is
+///   ok (exact SUMs over the matching rows). It survives as the
+///   deprecated scalar mirror of the zero-group case: it always holds
+///   the grand total over all groups (equal to the ungrouped table's
+///   only row); new code should read `table`. On kSimulated it is
+///   nullopt — the fact data is never materialised, so there is nothing
+///   to sum.
 /// - `sim` and `response_ms` are populated IFF backend == kSimulated:
 ///   `sim` holds the full device/timing metrics of a single-query run
 ///   and `response_ms` mirrors sim->avg_response_ms. On kMaterialized
 ///   `sim` is nullopt and `response_ms` stays 0 — materialised
 ///   execution has no timing model.
-struct QueryOutcome {
+struct QueryOutcome : MiniWarehouse::ExecStats {
   BackendKind backend = BackendKind::kSimulated;
 
-  // ---- plan facts (always present) ----
+  // ---- plan facts (always present, with fragments_processed) ----
   QueryClass query_class = QueryClass::kUnsupported;
   IoClass io_class = IoClass::kIoc2NoSupp;
-  std::int64_t fragments_processed = 0;
   int bitmaps_per_fragment = 0;
   double selectivity = 0;
 
@@ -73,34 +77,12 @@ struct QueryOutcome {
   /// like `aggregate`.
   std::optional<ResultTable> table;
   std::optional<MiniWarehouse::AggregateResult> aggregate;
-  /// Rows of the *residual* fragments actually scanned; with fragment
-  /// summaries disabled (WarehouseConfig::enable_fragment_summaries =
-  /// false) every processed fragment is residual, so this is all rows of
-  /// the processed fragments.
-  std::int64_t rows_scanned = 0;
-  /// Fully-covered fragments answered from the measure prefix sums and
-  /// the rows they contributed without being scanned (kMaterialized with
-  /// summaries enabled; 0 otherwise).
-  std::int64_t fragments_summarized = 0;
-  std::int64_t rows_summarized = 0;
-  /// Per-shard work split of a sharded materialized execution (index =
-  /// shard id) and its skew — max/mean shard busy-work, 1.0 = perfectly
-  /// balanced. Empty/0 unless kMaterialized with
-  /// WarehouseConfig::num_shards > 1 and the plan hit the clustered
-  /// layout. Deterministic: the split depends only on the allocation.
-  std::vector<MiniWarehouse::ShardWork> shards;
+  /// Per-shard split of a sharded materialized execution (index = shard
+  /// id), summing to the outcome's counters, and its skew — see
+  /// MiniWarehouse::MdhfExecution::shards / ShardSkew(). Empty/0 unless
+  /// kMaterialized with WarehouseConfig::num_shards > 1.
+  std::vector<MiniWarehouse::ExecStats> shards;
   double shard_skew = 0;
-  /// File-backed I/O of a materialized execution (all-zero for an
-  /// in-RAM store and on kSimulated): segment pages faulted from disk
-  /// (demand misses plus pages prefetched for this query), buffer-pool
-  /// pins served from cache, and bytes faulted. Per-shard splits live
-  /// in `shards` and sum to these totals. Deterministic when
-  /// num_workers == 1; under parallel execution the hit/fault split
-  /// depends on scheduling (the simulated backend's I/O counts live in
-  /// `sim` instead).
-  std::int64_t pages_read = 0;
-  std::int64_t buffer_hits = 0;
-  std::int64_t bytes_read = 0;
   /// Storage health of a materialized execution. `status` is ok on every
   /// healthy run (RAM or file-backed); when a page read still fails
   /// after the buffer pool's retry policy, `status` carries the typed
@@ -108,13 +90,10 @@ struct QueryOutcome {
   /// partial sums are not trustworthy), and the failure is confined to
   /// this query — other queries of the same batch/serve run are
   /// unaffected, and nothing poisoned stays in the buffer pool. The
-  /// counters attribute failed read attempts, retry attempts issued,
-  /// and CRC verification failures to this query. Always ok/zero on
-  /// kSimulated.
+  /// failure counters of the ExecStats base attribute the failed read
+  /// attempts, retry attempts issued, and CRC verification failures to
+  /// this query. Always ok on kSimulated.
   Status status;
-  std::int64_t io_errors = 0;
-  std::int64_t io_retries = 0;
-  std::int64_t checksum_failures = 0;
   /// Re-executions the serving requeue policy issued for this query
   /// (ServingConfig::max_requeues); 0 outside Warehouse::Serve.
   int requeues = 0;
@@ -150,8 +129,7 @@ struct QueryOutcome {
 /// - `queries[i]` corresponds to the i-th submitted query. Plan facts
 ///   are always filled; the per-query optionals follow the QueryOutcome
 ///   rules for the batch's backend.
-/// - kMaterialized: `total_aggregate` is engaged (the sum over all
-///   per-query aggregates); `sim` is nullopt and `makespan_ms` is 0.
+/// - kMaterialized: `sim` is nullopt and `makespan_ms` is 0.
 /// - kSimulated: `sim` is engaged with the WHOLE-RUN metrics — device
 ///   utilizations, I/O counts and response-time statistics cover the
 ///   complete (possibly multi-stream) run, not any single query — and
@@ -172,7 +150,6 @@ struct BatchOutcome {
   BackendKind backend = BackendKind::kSimulated;
   std::vector<QueryOutcome> queries;
 
-  std::optional<MiniWarehouse::AggregateResult> total_aggregate;
   std::optional<SimResult> sim;
   std::optional<ServeMetrics> serving;
   double makespan_ms = 0;
@@ -205,7 +182,7 @@ class ExecutionBackend {
 
 /// Functional execution against a materialised MiniWarehouse. Streams are
 /// ignored: materialised execution has no timing model, so a batch is just
-/// the per-query aggregates plus their sum.
+/// the per-query outcomes.
 ///
 /// Partition parallelism (the paper's processing model): with
 /// `num_workers` resolved to more than one, the backend owns a ThreadPool
@@ -216,6 +193,8 @@ class ExecutionBackend {
 class MaterializedBackend : public ExecutionBackend {
  public:
   /// `num_workers`: 0 = hardware_concurrency, 1 = serial, n = n workers.
+  /// `fragmentation` must match the warehouse's clustering
+  /// (MiniWarehouse::ClusteredFor), as the façade's always does.
   MaterializedBackend(std::shared_ptr<const MiniWarehouse> warehouse,
                       std::shared_ptr<const Fragmentation> fragmentation,
                       int num_workers = 1);

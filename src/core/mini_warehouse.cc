@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 #include <utility>
 
 #include "common/check.h"
@@ -33,48 +32,6 @@ void CutRanges(const std::vector<RowRange>& ranges, std::int64_t grain,
       chunks->push_back({b, std::min(b + grain, r.end)});
     }
   }
-}
-
-/// Cuts disjoint ascending `ranges` into chunks sized for `lanes` lanes.
-std::vector<RowRange> ChunkRanges(const std::vector<RowRange>& ranges,
-                                  int lanes) {
-  std::int64_t total = 0;
-  for (const auto& r : ranges) total += r.rows();
-  std::vector<RowRange> chunks;
-  CutRanges(ranges, ChunkGrain(total, lanes), &chunks);
-  return chunks;
-}
-
-/// Adds p's scan-side partial (scanned rows, I/O, and aggregate) into
-/// exec.
-void MergeScanPartial(const MiniWarehouse::MdhfExecution& p,
-                      MiniWarehouse::MdhfExecution* exec) {
-  exec->rows_scanned += p.rows_scanned;
-  exec->pages_read += p.pages_read;
-  exec->buffer_hits += p.buffer_hits;
-  exec->bytes_read += p.bytes_read;
-  exec->io_errors += p.io_errors;
-  exec->io_retries += p.io_retries;
-  exec->checksum_failures += p.checksum_failures;
-  // First-error-wins over the fixed merge order, so the surfaced error
-  // is deterministic at any worker count.
-  exec->status.Update(p.status);
-  exec->result.rows += p.result.rows;
-  exec->result.units_sold += p.result.units_sold;
-  exec->result.dollar_sales_cents += p.result.dollar_sales_cents;
-}
-
-/// Adds one cursor set's I/O attribution into a partial execution
-/// record (cursor *statuses* are folded separately — they live on the
-/// cursors, not the counters).
-void FoldIo(const storage::SegmentStore::IoCounters& io,
-            MiniWarehouse::MdhfExecution* partial) {
-  partial->pages_read += io.pages_read;
-  partial->buffer_hits += io.buffer_hits;
-  partial->bytes_read += io.bytes_read;
-  partial->io_errors += io.io_errors;
-  partial->io_retries += io.io_retries;
-  partial->checksum_failures += io.checksum_failures;
 }
 
 /// Measure readers the scan kernels are templated on — RAM vectors or
@@ -130,7 +87,7 @@ struct RowGrouping {
 template <typename Accesses, typename Measures, typename Grouping>
 void ProcessRows(const IndexSet& indexes, std::int64_t begin,
                  std::int64_t end, const Accesses& accesses, Measures& m,
-                 Grouping& g, MiniWarehouse::MdhfExecution* partial) {
+                 Grouping& g, MiniWarehouse::Partial* partial) {
   partial->rows_scanned += end - begin;
   auto& agg = partial->result;
   if (accesses.empty()) {
@@ -213,94 +170,6 @@ MiniWarehouse::AggregateResult FullScanRows(const StarSchema& schema,
   return result;
 }
 
-/// The unclustered fallback kernel: per-row fragment membership through
-/// `probe_leaf` (probe index, row) plus the prebuilt full-width filter.
-template <typename Probes, typename ProbeLeaf, typename Measures,
-          typename Grouping>
-void UnclusteredChunk(const RowRange& chunk, const Probes& probes,
-                      ProbeLeaf&& probe_leaf,
-                      const std::vector<FragId>& frag_ids, bool all_fragments,
-                      const BitVector& filter, Measures& m, Grouping& g,
-                      MiniWarehouse::MdhfExecution* partial) {
-  auto& agg = partial->result;
-  for (std::int64_t row = chunk.begin; row < chunk.end; ++row) {
-    if (!all_fragments) {
-      FragId fid = 0;
-      for (std::size_t p = 0; p < probes.size(); ++p) {
-        fid = fid * probes[p].card + probe_leaf(p, row) / probes[p].leaves_per;
-      }
-      if (!std::binary_search(frag_ids.begin(), frag_ids.end(), fid)) {
-        continue;
-      }
-    }
-    ++partial->rows_scanned;
-    if (!filter.Get(row)) continue;
-    ++agg.rows;
-    const std::int64_t units = m.Units(row);
-    const std::int64_t dollars = m.Dollars(row);
-    agg.units_sold += units;
-    agg.dollar_sales_cents += dollars;
-    g.Add(row, units, dollars);
-  }
-}
-
-/// Cuts `ranges` for `pool` and runs `process` once per chunk — serially,
-/// or as pool tasks each filling a private partial — then merges the
-/// partials in chunk order. The single merge point keeps serial and
-/// parallel runs (and both execution paths) bit-identical by
-/// construction.
-///
-/// `cancel` is polled at every chunk boundary: once tripped, the
-/// remaining chunks are abandoned and the merged record carries the
-/// token's typed status (so the caller discards the incomplete
-/// aggregate). A token that never trips — the unarmed default in
-/// particular — leaves the record bit-identical to an uncancellable run.
-/// When `groups` is non-null, serial chunks tally straight into it while
-/// parallel chunks fill private per-chunk accumulators merged after the
-/// barrier — element-wise integer addition, so the grouped partials are
-/// order-independent and bit-identical either way.
-MiniWarehouse::MdhfExecution RunChunks(
-    const std::vector<RowRange>& ranges, const ThreadPool* pool,
-    const CancellationToken& cancel, std::int64_t group_card,
-    MiniWarehouse::GroupAccum* groups,
-    const std::function<void(const RowRange&, MiniWarehouse::MdhfExecution*,
-                             MiniWarehouse::GroupAccum*)>& process) {
-  const int lanes = pool == nullptr ? 1 : pool->size() + 1;
-  const std::vector<RowRange> chunks = ChunkRanges(ranges, lanes);
-  MiniWarehouse::MdhfExecution exec;
-  bool all_ran = true;
-  if (pool == nullptr || chunks.size() < 2) {
-    for (const auto& c : chunks) {
-      if (cancel.ShouldStop()) {
-        all_ran = false;
-        break;
-      }
-      process(c, &exec, groups);
-    }
-  } else {
-    std::vector<MiniWarehouse::MdhfExecution> partials(chunks.size());
-    std::vector<MiniWarehouse::GroupAccum> gpartials;
-    if (groups != nullptr) {
-      gpartials.resize(chunks.size());
-      for (auto& g : gpartials) g.Reset(group_card);
-    }
-    all_ran = pool->ParallelFor(
-        static_cast<std::int64_t>(chunks.size()),
-        [&](std::int64_t i) {
-          const auto u = static_cast<std::size_t>(i);
-          process(chunks[u], &partials[u],
-                  groups == nullptr ? nullptr : &gpartials[u]);
-        },
-        cancel);
-    for (const auto& p : partials) MergeScanPartial(p, &exec);
-    for (const auto& g : gpartials) groups->Merge(g);
-  }
-  // Only an actually-abandoned chunk poisons the record: a token that
-  // trips after the last chunk finished changes nothing.
-  if (!all_ran) exec.status.Update(cancel.CancelStatus());
-  return exec;
-}
-
 }  // namespace
 
 void MiniWarehouse::GroupAccum::Reset(std::int64_t card) {
@@ -330,12 +199,6 @@ std::vector<GroupRow> MiniWarehouse::GroupAccum::Compact() const {
                    summarized[k]});
   }
   return out;
-}
-
-MiniWarehouse::MiniWarehouse(StarSchema schema, std::uint64_t seed)
-    : schema_(std::move(schema)) {
-  Populate(seed);
-  indexes_ = std::make_unique<IndexSet>(schema_, facts_);
 }
 
 MiniWarehouse::MiniWarehouse(StarSchema schema, std::uint64_t seed,
@@ -374,7 +237,6 @@ const FactColumns& MiniWarehouse::facts() const {
 
 void MiniWarehouse::BuildPagedStore(std::uint64_t seed,
                                     const storage::StoreOptions& options) {
-  MDW_CHECK(clustered(), "file-backed mode requires the clustered layout");
   storage::SegmentStore::BuildInput in;
   in.page_size = schema_.physical().page_size_bytes;
   in.tuples_per_page = schema_.physical().TuplesPerPage();
@@ -591,13 +453,12 @@ void MiniWarehouse::ClusterByFragment(std::vector<FragAttr> cluster_attrs,
 }
 
 bool MiniWarehouse::ClusteredFor(const Fragmentation& fragmentation) const {
-  return cluster_frag_ != nullptr && &fragmentation.schema() == &schema_ &&
+  return &fragmentation.schema() == &schema_ &&
          fragmentation.attrs() == cluster_frag_->attrs();
 }
 
 std::pair<std::int64_t, std::int64_t> MiniWarehouse::FragmentRows(
     FragId id) const {
-  MDW_CHECK(clustered(), "warehouse is not fragment-clustered");
   MDW_CHECK(id >= 0 && id < cluster_frag_->FragmentCount(),
             "fragment id out of range");
   const auto rank =
@@ -606,21 +467,18 @@ std::pair<std::int64_t, std::int64_t> MiniWarehouse::FragmentRows(
 }
 
 int MiniWarehouse::ShardOfFragment(FragId id) const {
-  MDW_CHECK(clustered(), "warehouse is not fragment-clustered");
   MDW_CHECK(id >= 0 && id < cluster_frag_->FragmentCount(),
             "fragment id out of range");
   return shard_of_frag_[static_cast<std::size_t>(id)];
 }
 
 std::pair<std::int64_t, std::int64_t> MiniWarehouse::ShardRows(int s) const {
-  MDW_CHECK(clustered(), "warehouse is not fragment-clustered");
   MDW_CHECK(s >= 0 && s < num_shards_, "shard out of range");
   return {shard_row_begin_[static_cast<std::size_t>(s)],
           shard_row_begin_[static_cast<std::size_t>(s) + 1]};
 }
 
 const std::vector<FragId>& MiniWarehouse::ShardFragments(int s) const {
-  MDW_CHECK(clustered(), "warehouse is not fragment-clustered");
   MDW_CHECK(s >= 0 && s < num_shards_, "shard out of range");
   return shard_fragments_[static_cast<std::size_t>(s)];
 }
@@ -630,8 +488,9 @@ double MiniWarehouse::MdhfExecution::ShardSkew() const {
   std::int64_t total = 0;
   std::int64_t max = 0;
   for (const auto& w : shards) {
-    total += w.BusyWork();
-    max = std::max(max, w.BusyWork());
+    const std::int64_t busy = w.rows_scanned + w.fragments_summarized;
+    total += busy;
+    max = std::max(max, busy);
   }
   if (total == 0) return 0;
   // max / mean, with mean = total / num_shards.
@@ -775,54 +634,43 @@ MiniWarehouse::AggregateResult MiniWarehouse::ExecuteWithBitmaps(
   return result;
 }
 
-MiniWarehouse::MdhfExecution MiniWarehouse::ExecuteWithFragmentation(
-    const StarQuery& query, const Fragmentation& fragmentation) const {
-  MDW_CHECK(&fragmentation.schema() == &schema_,
-            "fragmentation must belong to this warehouse's schema");
-  const QueryPlanner planner(&schema_, &fragmentation);
-  return ExecuteWithPlan(query, planner.Plan(query));
-}
-
-MiniWarehouse::MdhfExecution MiniWarehouse::ExecuteWithPlan(
-    const StarQuery& query, const QueryPlan& plan) const {
-  return ExecuteWithPlan(query, plan, /*pool=*/nullptr);
-}
-
-MiniWarehouse::MdhfExecution MiniWarehouse::ExecuteWithPlan(
-    const StarQuery& query, const QueryPlan& plan,
-    const ThreadPool* pool) const {
-  return ExecuteWithPlan(query, plan, pool, /*scratch=*/nullptr);
-}
-
-MiniWarehouse::MdhfExecution MiniWarehouse::ExecuteWithPlan(
-    const StarQuery& query, const QueryPlan& plan, const ThreadPool* pool,
-    ExecScratch* scratch) const {
-  return ExecuteWithPlan(query, plan, pool, scratch, ExecOptions{});
-}
-
 MiniWarehouse::MdhfExecution MiniWarehouse::ExecuteWithPlan(
     const StarQuery& query, const QueryPlan& plan, const ThreadPool* pool,
     ExecScratch* scratch, const ExecOptions& options) const {
-  const Fragmentation& fragmentation = plan.fragmentation();
-  MDW_CHECK(&fragmentation.schema() == &schema_,
-            "plan's fragmentation must belong to this warehouse's schema");
+  MDW_CHECK(ClusteredFor(plan.fragmentation()),
+            "plan's fragmentation does not match this warehouse's "
+            "clustering (it must share the schema object and the "
+            "attribute list)");
   MDW_CHECK(!options.covered_only ||
-                (summaries_enabled_ && ClusteredFor(fragmentation) &&
+                (summaries_enabled_ &&
                  (!plan.grouped() || plan.AlignedGrouping())),
-            "covered-only degradation requires summaries over a matching "
-            "clustered layout (and fragmentation-aligned grouping)");
+            "covered-only degradation requires summaries (and "
+            "fragmentation-aligned grouping)");
 
-  // Entry checkpoint: a token tripped before execution starts must yield
-  // the typed status even when the query would be answered entirely from
-  // summaries (the covered path runs no cancellable scan chunks).
+  MdhfExecution exec;
   if (options.cancel.ShouldStop()) {
-    MdhfExecution exec;
+    // Entry checkpoint: a token tripped before execution starts must
+    // yield the typed status even when the query would be answered
+    // entirely from summaries (the covered path runs no cancellable scan
+    // chunks).
     exec.status = options.cancel.CancelStatus();
-    exec.query_class = plan.query_class();
-    exec.io_class = plan.io_class();
-    return exec;
+  } else {
+    ExecuteFragments(query, plan, pool, scratch, options, &exec);
   }
+  // Plan facts, on every return.
+  exec.query_class = plan.query_class();
+  exec.io_class = plan.io_class();
+  exec.bitmaps_read = plan.BitmapsPerFragment();
+  exec.fragments_processed = plan.FragmentCount();
+  return exec;
+}
 
+void MiniWarehouse::ExecuteFragments(const StarQuery& query,
+                                     const QueryPlan& plan,
+                                     const ThreadPool* pool,
+                                     ExecScratch* scratch,
+                                     const ExecOptions& options,
+                                     MdhfExecution* exec) const {
   ExecScratch local;
   ExecScratch& s = scratch != nullptr ? *scratch : local;
   ResolveBitmapAccesses(query, plan, &s.accesses_);
@@ -838,17 +686,72 @@ MiniWarehouse::MdhfExecution MiniWarehouse::ExecuteWithPlan(
     group_accum.Reset(gctx.card);
     groups = &group_accum;
   }
-  MdhfExecution exec =
-      ClusteredFor(fragmentation)
-          ? ExecuteClustered(plan, accesses, gctx, pool, options, groups)
-          : ExecuteUnclustered(plan, accesses, gctx, pool, options, groups);
-  if (groups != nullptr) exec.groups = groups->Compact();
-  exec.degraded = options.covered_only;
-  exec.query_class = plan.query_class();
-  exec.io_class = plan.io_class();
-  exec.bitmaps_read = plan.BitmapsPerFragment();
-  exec.fragments_processed = plan.FragmentCount();
-  return exec;
+  // A summary run's prefix-sum fold cannot split its rows across groups,
+  // so grouping below the fragmentation level (or on a non-fragmentation
+  // dimension) forces every selected fragment onto the scan path.
+  const bool use_summaries =
+      summaries_enabled_ && (!plan.grouped() || plan.AlignedGrouping());
+
+  if (plan.FragmentCount() == 1) {
+    // Single-fragment plan (the paper's IOC1-opt shape): the one fragment
+    // id falls out of the slices directly, skipping routing and its
+    // odometer enumeration — a fully-covered fragment is then three
+    // prefix-sum lookups, a residual one a one-entry shard selection.
+    FragId id = 0;
+    bool covered = plan.coverable();
+    for (int i = 0; i < cluster_frag_->num_attrs(); ++i) {
+      const std::int64_t c = plan.slice(i).front();
+      MDW_CHECK(c >= 0 && c < cluster_frag_->CardOf(i),
+                "coordinate out of range");  // as FragmentIdOf enforces
+      id = id * cluster_frag_->CardOf(i) + c;
+      covered = covered && plan.covered(i).front();
+    }
+    const auto rank =
+        static_cast<std::size_t>(frag_rank_[static_cast<std::size_t>(id)]);
+    const RowRange rows{frag_offsets_[rank], frag_offsets_[rank + 1]};
+    const int shard = shard_of_frag_[static_cast<std::size_t>(id)];
+    if (use_summaries && covered) {
+      const std::int64_t gkey =
+          plan.AlignedGrouping() ? plan.GroupOfFragment(id) : -1;
+      FoldSummaryRun(rows, options.cancel, exec, gkey, groups);
+      exec->fragments_processed = 1;
+      exec->fragments_summarized = 1;
+      if (num_shards_ > 1) {
+        exec->shards.assign(static_cast<std::size_t>(num_shards_), {});
+        exec->shards[static_cast<std::size_t>(shard)] = *exec;
+      }
+    } else {
+      ShardSelection selection;
+      selection.fragments = 1;
+      if (rows.rows() > 0) selection.scan.push_back(rows);
+      ExecuteSharded({&selection, 1}, shard, accesses, gctx, pool, options,
+                     groups, exec);
+    }
+  } else {
+    // Directory walk: the plan's fragments are routed to their shards and
+    // map to physical row ranges; within a shard, adjacent selected
+    // fragments coalesce into maximal runs (fragment ids arrive in
+    // ascending allocation order, and the shard's layout is
+    // fragment-major, so per-shard ranges are ascending and disjoint).
+    // Fully-covered fragments split off into summary runs answered from
+    // the prefix sums; residual fragments keep the range-scan + bitmap
+    // path.
+    const std::vector<ShardSelection> selections = RouteSelectionToShards(
+        plan, num_shards_, use_summaries,
+        [&](FragId id) {
+          return shard_of_frag_[static_cast<std::size_t>(id)];
+        },
+        [&](FragId id) {
+          const auto r = static_cast<std::size_t>(
+              frag_rank_[static_cast<std::size_t>(id)]);
+          return std::pair<std::int64_t, std::int64_t>{frag_offsets_[r],
+                                                       frag_offsets_[r + 1]};
+        });
+    ExecuteSharded(selections, /*first_shard=*/0, accesses, gctx, pool,
+                   options, groups, exec);
+  }
+  if (groups != nullptr) exec->groups = groups->Compact();
+  exec->degraded = options.covered_only;
 }
 
 void MiniWarehouse::ResolveBitmapAccesses(
@@ -882,12 +785,12 @@ void MiniWarehouse::ResolveBitmapAccesses(
   }
 }
 
-void MiniWarehouse::ScanChunk(std::int64_t begin, std::int64_t end,
+void MiniWarehouse::ScanChunk(const RowRange& chunk,
                               const std::vector<BitmapAccess>& accesses,
                               const GroupContext& group,
                               const CancellationToken& cancel,
-                              MdhfExecution* partial,
-                              GroupAccum* groups) const {
+                              Partial* partial, GroupAccum* groups) const {
+  const auto [begin, end] = chunk;
   if (store_ == nullptr) {
     RamMeasures m{&units_sold_, &dollar_sales_cents_};
     if (groups == nullptr) {
@@ -904,9 +807,9 @@ void MiniWarehouse::ScanChunk(std::int64_t begin, std::int64_t end,
     ProcessRows(*indexes_, begin, end, accesses, m, g, partial);
     return;
   }
-  storage::SegmentStore::IoCounters io;
-  PagedMeasures m{store_->MakeCursor(store_->ColUnits(), &io, cancel),
-                  store_->MakeCursor(store_->ColDollars(), &io, cancel)};
+  // The chunk's cursors count their I/O straight into its partial.
+  PagedMeasures m{store_->MakeCursor(store_->ColUnits(), partial, cancel),
+                  store_->MakeCursor(store_->ColDollars(), partial, cancel)};
   if (accesses.empty()) {
     // Unfiltered range: every page will be touched, so read ahead in
     // coalesced runs. Filtered scans skip prefetch — they fault only the
@@ -921,7 +824,7 @@ void MiniWarehouse::ScanChunk(std::int64_t begin, std::int64_t end,
     // Grouped scans read the group dimension's leaf column through its
     // own cursor (its I/O and status fold into the same partial).
     auto key_cursor =
-        store_->MakeCursor(store_->ColDim(group.dim), &io, cancel);
+        store_->MakeCursor(store_->ColDim(group.dim), partial, cancel);
     if (accesses.empty()) key_cursor.PrefetchRun(begin, end);
     const auto leaf = [&key_cursor](std::int64_t row) {
       return key_cursor.At(row);
@@ -930,133 +833,49 @@ void MiniWarehouse::ScanChunk(std::int64_t begin, std::int64_t end,
     ProcessRows(*indexes_, begin, end, accesses, m, g, partial);
     partial->status.Update(key_cursor.status());
   }
-  FoldIo(io, partial);
   partial->status.Update(m.units.status());
   partial->status.Update(m.dollars.status());
 }
 
 void MiniWarehouse::FoldSummaryRun(const RowRange& run,
                                    const CancellationToken& cancel,
-                                   MdhfExecution* exec,
-                                   std::int64_t group_key,
+                                   Partial* partial, std::int64_t group_key,
                                    GroupAccum* groups) const {
-  exec->result.rows += run.rows();
-  exec->rows_summarized += run.rows();
+  partial->result.rows += run.rows();
+  partial->rows_summarized += run.rows();
+  std::int64_t du = 0;
+  std::int64_t dd = 0;
   if (store_ == nullptr) {
     const auto b = static_cast<std::size_t>(run.begin);
     const auto e = static_cast<std::size_t>(run.end);
-    const std::int64_t du = units_prefix_[e] - units_prefix_[b];
-    const std::int64_t dd = dollars_prefix_[e] - dollars_prefix_[b];
-    exec->result.units_sold += du;
-    exec->result.dollar_sales_cents += dd;
-    if (groups != nullptr && group_key >= 0) {
-      groups->TallySummary(group_key, run.rows(), du, dd);
-    }
-    return;
+    du = units_prefix_[e] - units_prefix_[b];
+    dd = dollars_prefix_[e] - dollars_prefix_[b];
+  } else {
+    // File-backed: the prefix-sum columns answer the covered run from at
+    // most two pages per measure.
+    auto units = store_->MakeCursor(store_->ColUnitsPrefix(), partial, cancel);
+    auto dollars =
+        store_->MakeCursor(store_->ColDollarsPrefix(), partial, cancel);
+    du = units.At(run.end) - units.At(run.begin);
+    dd = dollars.At(run.end) - dollars.At(run.begin);
+    partial->status.Update(units.status());
+    partial->status.Update(dollars.status());
   }
-  // File-backed: the prefix-sum columns answer the covered run from at
-  // most two pages per measure.
-  storage::SegmentStore::IoCounters io;
-  auto units = store_->MakeCursor(store_->ColUnitsPrefix(), &io, cancel);
-  auto dollars = store_->MakeCursor(store_->ColDollarsPrefix(), &io, cancel);
-  const std::int64_t du = units.At(run.end) - units.At(run.begin);
-  const std::int64_t dd = dollars.At(run.end) - dollars.At(run.begin);
-  exec->result.units_sold += du;
-  exec->result.dollar_sales_cents += dd;
+  partial->result.units_sold += du;
+  partial->result.dollar_sales_cents += dd;
   if (groups != nullptr && group_key >= 0) {
     groups->TallySummary(group_key, run.rows(), du, dd);
   }
-  FoldIo(io, exec);
-  exec->status.Update(units.status());
-  exec->status.Update(dollars.status());
 }
 
-MiniWarehouse::MdhfExecution MiniWarehouse::ExecuteClustered(
-    const QueryPlan& plan, const std::vector<BitmapAccess>& accesses,
-    const GroupContext& group, const ThreadPool* pool,
-    const ExecOptions& options, GroupAccum* groups) const {
-  // A summary run's prefix-sum fold cannot split its rows across groups,
-  // so grouping below the fragmentation level (or on a non-fragmentation
-  // dimension) forces every selected fragment onto the scan path.
-  const bool use_summaries =
-      summaries_enabled_ && (!group.grouped || plan.AlignedGrouping());
-
-  // Single-fragment fast path (the paper's IOC1-opt shape): the one
-  // fragment id falls out of the slices directly, skipping the odometer
-  // enumeration and its std::function indirection — for a fully-covered
-  // fragment the whole query is then three prefix-sum lookups.
-  if (plan.FragmentCount() == 1 && cluster_frag_->num_attrs() > 0) {
-    FragId id = 0;
-    bool covered = plan.coverable();
-    for (int i = 0; i < cluster_frag_->num_attrs(); ++i) {
-      const std::int64_t c = plan.slice(i).front();
-      MDW_CHECK(c >= 0 && c < cluster_frag_->CardOf(i),
-                "coordinate out of range");  // as FragmentIdOf enforces
-      id = id * cluster_frag_->CardOf(i) + c;
-      covered = covered && plan.covered(i).front();
-    }
-    const auto rank =
-        static_cast<std::size_t>(frag_rank_[static_cast<std::size_t>(id)]);
-    const std::int64_t begin = frag_offsets_[rank];
-    const std::int64_t end = frag_offsets_[rank + 1];
-    MdhfExecution exec;
-    if (use_summaries && covered) {
-      const std::int64_t gkey =
-          plan.AlignedGrouping() ? plan.GroupOfFragment(id) : -1;
-      FoldSummaryRun({begin, end}, options.cancel, &exec, gkey, groups);
-      exec.fragments_summarized = 1;
-    } else if (begin < end && !options.covered_only) {
-      exec = RunChunks({{begin, end}}, pool, options.cancel, group.card,
-                       groups,
-                       [&](const RowRange& c, MdhfExecution* partial,
-                           GroupAccum* g) {
-                         ScanChunk(c.begin, c.end, accesses, group,
-                                   options.cancel, partial, g);
-                       });
-    }
-    AttributeWorkToFragmentShard(id, &exec);
-    return exec;
-  }
-
-  // Directory walk: the plan's fragments are routed to their shards and
-  // map to physical row ranges; within a shard, adjacent selected
-  // fragments coalesce into maximal runs (fragment ids arrive in
-  // ascending allocation order, and the shard's layout is fragment-major,
-  // so per-shard ranges are ascending and disjoint). Fully-covered
-  // fragments split off into summary runs answered from the prefix sums;
-  // residual fragments keep the range-scan + bitmap path.
-  const std::vector<ShardSelection> selections = RouteSelectionToShards(
-      plan, num_shards_, use_summaries,
-      [&](FragId id) { return shard_of_frag_[static_cast<std::size_t>(id)]; },
-      [&](FragId id) {
-        const auto rank = static_cast<std::size_t>(
-            frag_rank_[static_cast<std::size_t>(id)]);
-        return std::pair<std::int64_t, std::int64_t>{frag_offsets_[rank],
-                                                     frag_offsets_[rank + 1]};
-      });
-  return ExecuteSharded(selections, accesses, group, pool, options, groups);
-}
-
-void MiniWarehouse::AttributeWorkToFragmentShard(FragId id,
-                                                 MdhfExecution* exec) const {
-  if (num_shards_ <= 1) return;
-  exec->shards.assign(static_cast<std::size_t>(num_shards_), {});
-  ShardWork& work = exec->shards[static_cast<std::size_t>(
-      shard_of_frag_[static_cast<std::size_t>(id)])];
-  work.fragments = 1;
-  work.rows_scanned = exec->rows_scanned;
-  work.rows_summarized = exec->rows_summarized;
-  work.fragments_summarized = exec->fragments_summarized;
-  work.pages_read = exec->pages_read;
-  work.buffer_hits = exec->buffer_hits;
-  work.bytes_read = exec->bytes_read;
-}
-
-MiniWarehouse::MdhfExecution MiniWarehouse::ExecuteSharded(
-    const std::vector<ShardSelection>& selections,
-    const std::vector<BitmapAccess>& accesses, const GroupContext& group,
-    const ThreadPool* pool, const ExecOptions& options,
-    GroupAccum* groups) const {
+void MiniWarehouse::ExecuteSharded(std::span<const ShardSelection> selections,
+                                   int first_shard,
+                                   const std::vector<BitmapAccess>& accesses,
+                                   const GroupContext& group,
+                                   const ThreadPool* pool,
+                                   const ExecOptions& options,
+                                   GroupAccum* groups,
+                                   MdhfExecution* exec) const {
   // Cut every shard's scan ranges with ONE global grain (a few chunks per
   // lane across all shards), so stealing has granularity even when one
   // shard holds most of the work. Covered-only degraded execution drops
@@ -1064,90 +883,80 @@ MiniWarehouse::MdhfExecution MiniWarehouse::ExecuteSharded(
   // partially scanned — leaving just the summary folds below.
   const int lanes = pool == nullptr ? 1 : pool->size() + 1;
   std::int64_t total_scan = 0;
-  for (const auto& sel : selections) total_scan += sel.ScanRows();
+  std::size_t scan_ranges = 0;
+  for (const auto& sel : selections) {
+    total_scan += sel.ScanRows();
+    scan_ranges += sel.scan.size();
+  }
   const std::int64_t grain = ChunkGrain(total_scan, lanes);
-  std::vector<std::vector<RowRange>> chunks(selections.size());
-  std::vector<std::int64_t> queue_sizes(selections.size(), 0);
-  std::vector<std::size_t> slot_base(selections.size(), 0);
-  std::size_t total_chunks = 0;
-  for (std::size_t s = 0; s < selections.size(); ++s) {
-    if (!options.covered_only) {
-      CutRanges(selections[s].scan, grain, &chunks[s]);
+  // Selection s's chunks are chunks[first_chunk[s] .. first_chunk[s + 1]).
+  std::vector<RowRange> chunks;
+  std::vector<std::size_t> first_chunk(selections.size() + 1, 0);
+  if (!options.covered_only) {
+    chunks.reserve(static_cast<std::size_t>(total_scan / grain) +
+                   scan_ranges);
+    for (std::size_t s = 0; s < selections.size(); ++s) {
+      CutRanges(selections[s].scan, grain, &chunks);
+      first_chunk[s + 1] = chunks.size();
     }
-    queue_sizes[s] = static_cast<std::int64_t>(chunks[s].size());
-    slot_base[s] = total_chunks;
-    total_chunks += chunks[s].size();
   }
 
   // One private partial per chunk; affinity tasks (one queue per shard,
   // idle lanes steal) or a serial loop fill them, and the merge below is
   // the only point that reads them — in fixed (shard, chunk) order, so
   // the record is bit-identical at any worker count.
-  std::vector<MdhfExecution> partials(total_chunks);
-  // Grouped runs mirror the scan partials with per-chunk group
-  // accumulators merged below — element-wise integer sums, so the merge
-  // order never changes the grouped result.
-  std::vector<GroupAccum> gpartials;
-  if (groups != nullptr) {
-    gpartials.resize(total_chunks);
-    for (auto& g : gpartials) g.Reset(group.card);
-  }
+  std::vector<Partial> partials(chunks.size());
   bool all_ran = true;
-  if (pool != nullptr && total_chunks >= 2) {
+  if (pool != nullptr && chunks.size() >= 2) {
+    // Grouped runs mirror the scan partials with per-chunk group
+    // accumulators — element-wise integer sums, so the merge order never
+    // changes the grouped result. Serial runs tally straight into
+    // `groups`.
+    std::vector<GroupAccum> gpartials;
+    if (groups != nullptr) {
+      gpartials.resize(chunks.size());
+      for (auto& g : gpartials) g.Reset(group.card);
+    }
+    std::vector<std::int64_t> queue_sizes(selections.size());
+    for (std::size_t s = 0; s < selections.size(); ++s) {
+      queue_sizes[s] =
+          static_cast<std::int64_t>(first_chunk[s + 1] - first_chunk[s]);
+    }
     all_ran = pool->ParallelForQueues(
         queue_sizes,
         [&](int s, std::int64_t c) {
-          const auto su = static_cast<std::size_t>(s);
-          const std::size_t slot =
-              slot_base[su] + static_cast<std::size_t>(c);
-          const RowRange& r = chunks[su][static_cast<std::size_t>(c)];
-          ScanChunk(r.begin, r.end, accesses, group, options.cancel,
-                    &partials[slot],
-                    groups == nullptr ? nullptr : &gpartials[slot]);
+          const std::size_t i = first_chunk[static_cast<std::size_t>(s)] +
+                                static_cast<std::size_t>(c);
+          ScanChunk(chunks[i], accesses, group, options.cancel, &partials[i],
+                    groups == nullptr ? nullptr : &gpartials[i]);
         },
         options.cancel);
+    for (const auto& g : gpartials) groups->Merge(g);
   } else {
-    for (std::size_t s = 0; s < chunks.size() && all_ran; ++s) {
-      for (std::size_t c = 0; c < chunks[s].size(); ++c) {
-        if (options.cancel.ShouldStop()) {
-          all_ran = false;
-          break;
-        }
-        const std::size_t slot = slot_base[s] + c;
-        ScanChunk(chunks[s][c].begin, chunks[s][c].end, accesses, group,
-                  options.cancel, &partials[slot],
-                  groups == nullptr ? nullptr : &gpartials[slot]);
+    for (std::size_t i = 0; i < chunks.size(); ++i) {
+      if (options.cancel.ShouldStop()) {
+        all_ran = false;
+        break;
       }
+      ScanChunk(chunks[i], accesses, group, options.cancel, &partials[i],
+                groups);
     }
   }
-  for (const auto& g : gpartials) groups->Merge(g);
 
   // Fixed-order merge: shards ascending; within a shard, scan chunks in
   // range order, then the shard's summary runs — all-integer sums, one
   // merge sequence regardless of scheduling.
-  MdhfExecution exec;
-  const bool sharded = num_shards_ > 1;
-  if (sharded) {
-    exec.shards.assign(static_cast<std::size_t>(num_shards_), {});
+  if (num_shards_ > 1) {
+    exec->shards.assign(static_cast<std::size_t>(num_shards_), {});
   }
   for (std::size_t s = 0; s < selections.size(); ++s) {
     const ShardSelection& sel = selections[s];
-    ShardWork work;
-    work.fragments = sel.fragments;
-    work.fragments_summarized = sel.fragments_covered;
-    for (std::size_t c = 0; c < chunks[s].size(); ++c) {
-      const MdhfExecution& p = partials[slot_base[s] + c];
-      MergeScanPartial(p, &exec);
-      work.rows_scanned += p.rows_scanned;
-      work.pages_read += p.pages_read;
-      work.buffer_hits += p.buffer_hits;
-      work.bytes_read += p.bytes_read;
+    Partial shard;
+    shard.fragments_processed = sel.fragments;
+    shard.fragments_summarized = sel.fragments_covered;
+    for (std::size_t i = first_chunk[s]; i < first_chunk[s + 1]; ++i) {
+      shard.Merge(partials[i]);
     }
-    // Summary runs fold io into the totals; attribute the delta to this
-    // shard so the per-shard split keeps summing to the totals.
-    const std::int64_t pages0 = exec.pages_read;
-    const std::int64_t hits0 = exec.buffer_hits;
-    const std::int64_t bytes0 = exec.bytes_read;
     for (std::size_t r = 0; r < sel.summary.size(); ++r) {
       // A tripped token abandons the remaining summary folds too — the
       // typed status below tells the caller the record is incomplete.
@@ -1155,130 +964,17 @@ MiniWarehouse::MdhfExecution MiniWarehouse::ExecuteSharded(
         all_ran = false;
         break;
       }
-      const RowRange& run = sel.summary[r];
-      FoldSummaryRun(run, options.cancel, &exec, sel.summary_group[r],
-                     groups);
-      work.rows_summarized += run.rows();
+      FoldSummaryRun(sel.summary[r], options.cancel, &shard,
+                     sel.summary_group[r], groups);
     }
-    work.pages_read += exec.pages_read - pages0;
-    work.buffer_hits += exec.buffer_hits - hits0;
-    work.bytes_read += exec.bytes_read - bytes0;
-    exec.fragments_summarized += sel.fragments_covered;
-    if (sharded) exec.shards[s] = work;
+    exec->Merge(shard);
+    if (!exec->shards.empty()) {
+      exec->shards[static_cast<std::size_t>(first_shard) + s] = shard;
+    }
   }
-  if (!all_ran) exec.status.Update(options.cancel.CancelStatus());
-  return exec;
-}
-
-MiniWarehouse::MdhfExecution MiniWarehouse::ExecuteUnclustered(
-    const QueryPlan& plan, const std::vector<BitmapAccess>& accesses,
-    const GroupContext& group, const ThreadPool* pool,
-    const ExecOptions& options, GroupAccum* groups) const {
-  const Fragmentation& fragmentation = plan.fragmentation();
-
-  // Sorted fragment membership (ForEachFragment enumerates ascending ids);
-  // when the plan covers every fragment the per-row mapping is skipped.
-  std::vector<FragId> frag_ids;
-  plan.ForEachFragment([&](FragId id) { frag_ids.push_back(id); });
-  const bool all_fragments =
-      static_cast<std::int64_t>(frag_ids.size()) ==
-      fragmentation.FragmentCount();
-
-  // Bitmap filter for the predicates the plan marks as needing bitmaps;
-  // all-ones when none do (Q1/Q3: fragment membership is the filter).
-  // Built full-width once, shared read-only by all workers.
-  BitVector filter(row_count());
-  filter.SetAll();
-  for (const auto& a : accesses) {
-    BitVector pred_rows(row_count());
-    for (const auto value : a.pred->values) {
-      if (a.same_ancestor) {
-        pred_rows |= indexes_->SelectWithinFragment(a.pred->dim, a.pred->depth,
-                                                    value, a.frag_depth);
-      } else {
-        pred_rows |= indexes_->Select(a.pred->dim, a.pred->depth, value);
-      }
-    }
-    filter &= pred_rows;
-  }
-
-  // Per-depth ancestor probes, resolved once per query: the fragment id of
-  // a row is the mixed-radix combination of leaf / LeavesPer(frag depth)
-  // over the fragmentation attributes, read straight from the fact
-  // columns (or their segment pages) — no per-row temporaries
-  // (FragmentOfRow would build a coordinate vector per row).
-  struct FragProbe {
-    DimId dim;
-    std::int64_t leaves_per;  ///< leaf values per fragmentation-level value
-    std::int64_t card;        ///< attribute cardinality (radix)
-  };
-  std::vector<FragProbe> probes;
-  probes.reserve(static_cast<std::size_t>(fragmentation.num_attrs()));
-  for (int i = 0; i < fragmentation.num_attrs(); ++i) {
-    const FragAttr& a = fragmentation.attr(i);
-    const auto& h = schema_.dimension(a.dim).hierarchy();
-    probes.push_back({a.dim, h.LeavesPer(a.depth), fragmentation.CardOf(i)});
-  }
-
-  return RunChunks({{0, row_count()}}, pool, options.cancel, group.card,
-                   groups,
-                   [&](const RowRange& chunk, MdhfExecution* partial,
-                       GroupAccum* gacc) {
-    if (store_ == nullptr) {
-      const auto probe_leaf = [&](std::size_t p, std::int64_t row) {
-        return facts_.columns[static_cast<std::size_t>(probes[p].dim)]
-                             [static_cast<std::size_t>(row)];
-      };
-      RamMeasures m{&units_sold_, &dollar_sales_cents_};
-      if (gacc == nullptr) {
-        NoGrouping g;
-        UnclusteredChunk(chunk, probes, probe_leaf, frag_ids, all_fragments,
-                         filter, m, g, partial);
-        return;
-      }
-      const std::vector<std::int64_t>& keys =
-          facts_.columns[static_cast<std::size_t>(group.dim)];
-      const auto leaf = [&keys](std::int64_t row) {
-        return keys[static_cast<std::size_t>(row)];
-      };
-      RowGrouping<decltype(leaf)> g{leaf, group.leaves_per, gacc};
-      UnclusteredChunk(chunk, probes, probe_leaf, frag_ids, all_fragments,
-                       filter, m, g, partial);
-      return;
-    }
-    storage::SegmentStore::IoCounters io;
-    std::vector<storage::SegmentStore::Cursor> cursors;
-    cursors.reserve(probes.size());
-    for (const auto& p : probes) {
-      cursors.push_back(
-          store_->MakeCursor(store_->ColDim(p.dim), &io, options.cancel));
-    }
-    const auto probe_leaf = [&](std::size_t p, std::int64_t row) {
-      return cursors[p].At(row);
-    };
-    PagedMeasures m{
-        store_->MakeCursor(store_->ColUnits(), &io, options.cancel),
-        store_->MakeCursor(store_->ColDollars(), &io, options.cancel)};
-    if (gacc == nullptr) {
-      NoGrouping g;
-      UnclusteredChunk(chunk, probes, probe_leaf, frag_ids, all_fragments,
-                       filter, m, g, partial);
-    } else {
-      auto key_cursor =
-          store_->MakeCursor(store_->ColDim(group.dim), &io, options.cancel);
-      const auto leaf = [&key_cursor](std::int64_t row) {
-        return key_cursor.At(row);
-      };
-      RowGrouping<decltype(leaf)> g{leaf, group.leaves_per, gacc};
-      UnclusteredChunk(chunk, probes, probe_leaf, frag_ids, all_fragments,
-                       filter, m, g, partial);
-      partial->status.Update(key_cursor.status());
-    }
-    FoldIo(io, partial);
-    for (auto& c : cursors) partial->status.Update(c.status());
-    partial->status.Update(m.units.status());
-    partial->status.Update(m.dollars.status());
-  });
+  // Only an actually-abandoned chunk or fold poisons the record: a token
+  // that trips after the last one finished changes nothing.
+  if (!all_ran) exec->status.Update(options.cancel.CancelStatus());
 }
 
 }  // namespace mdw

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -19,6 +20,24 @@ namespace mdw {
 
 class ThreadPool;
 
+/// Per-execution controls threaded through MiniWarehouse::ExecuteWithPlan.
+struct ExecOptions {
+  /// Cooperative cancellation: polled at chunk boundaries (a tripped
+  /// token abandons the remaining chunks and the execution surfaces
+  /// the token's typed status) and passed to the buffer pool so retry
+  /// backoff never sleeps past the query's deadline. The
+  /// default-constructed (unarmed) token never trips and costs one
+  /// null check per chunk — results stay bit-identical to an
+  /// execution without options.
+  CancellationToken cancel;
+  /// Degraded covered-only execution: answer ONLY the fully-covered
+  /// fragments from the measure prefix sums and skip every residual
+  /// scan. The result is flagged `degraded` — a correct aggregate of
+  /// a *subset* of the query's fragments, never a partial scan of a
+  /// fragment. Requires summaries (and fragmentation-aligned grouping).
+  bool covered_only = false;
+};
+
 /// A fully materialised, in-memory star warehouse at a scale small enough
 /// to hold every fact row. It executes star queries three ways — full
 /// scan, bitmap-index path, and MDHF fragment-confined path — and is the
@@ -27,20 +46,22 @@ class ThreadPool;
 /// full-scale APB-1 configuration is only ever *simulated*; see
 /// sim/simulator.h.)
 ///
-/// Physical layout: the clustered constructor permutes the fact columns
-/// (and measure vectors) into *fragment-major* order of an MDHF
-/// fragmentation — the paper's clustering property (Sec. 4.5) made
-/// physical — and keeps a FragId -> [row_begin, row_end) directory, so
-/// fragment-confined execution touches only the plan's row ranges
-/// (O(selected rows)) and can process ranges as parallel partitions.
-/// It additionally builds inclusive prefix sums over the measure columns
-/// in that physical order, so a run of *fully-covered* fragments [b, e)
-/// (every row a hit, per the plan's coverage classification) is answered
-/// as P[e] - P[b] without touching the fact columns at all — O(residual
-/// rows) instead of O(selected rows).
+/// Physical layout: the constructor permutes the fact columns (and
+/// measure vectors) into *fragment-major* order of an MDHF fragmentation
+/// — the paper's clustering property (Sec. 4.5) made physical — and keeps
+/// a FragId -> [row_begin, row_end) directory, so fragment-confined
+/// execution touches only the plan's row ranges (O(selected rows)) and
+/// can process ranges as parallel partitions. Every store is clustered:
+/// the empty attribute list is the single-fragment clustering, which
+/// keeps generation row order. It additionally builds inclusive prefix
+/// sums over the measure columns in that physical order, so a run of
+/// *fully-covered* fragments [b, e) (every row a hit, per the plan's
+/// coverage classification) is answered as P[e] - P[b] without touching
+/// the fact columns at all — O(residual rows) instead of O(selected
+/// rows).
 ///
 /// Sharding (the paper's disk allocation made physical): with
-/// `num_shards` > 1 the clustered constructor consults a DiskAllocation
+/// `num_shards` > 1 the constructor consults a DiskAllocation
 /// (round robin with optional round_gap/cluster_factor, one "disk" per
 /// shard) and lays the store out *shard-major*: each shard owns a
 /// contiguous region of the permuted columns/measures/prefix sums holding
@@ -114,38 +135,21 @@ class MiniWarehouse {
     std::vector<GroupRow> Compact() const;
   };
 
-  /// Per-execution controls threaded through the MDHF paths.
-  struct ExecOptions {
-    /// Cooperative cancellation: polled at chunk boundaries (a tripped
-    /// token abandons the remaining chunks and the execution surfaces
-    /// the token's typed status) and passed to the buffer pool so retry
-    /// backoff never sleeps past the query's deadline. The
-    /// default-constructed (unarmed) token never trips and costs one
-    /// null check per chunk — results stay bit-identical to the
-    /// option-less overloads.
-    CancellationToken cancel;
-    /// Degraded covered-only execution: answer ONLY the fully-covered
-    /// fragments from the measure prefix sums and skip every residual
-    /// scan. The result is flagged `degraded` — a correct aggregate of
-    /// a *subset* of the query's fragments, never a partial scan of a
-    /// fragment. Requires summaries over a matching clustered layout.
-    bool covered_only = false;
-  };
+  /// Per-execution controls (declared at namespace scope so that
+  /// ExecuteWithPlan can default it).
+  using ExecOptions = mdw::ExecOptions;
 
   /// Populates the fact table by sampling each possible dimension-value
   /// combination independently with probability schema.density() (the
-  /// APB-1 density semantics), and builds all bitmap join indices. Rows
-  /// stay in generation (odometer) order; MDHF execution falls back to a
-  /// per-row fragment-membership scan.
-  MiniWarehouse(StarSchema schema, std::uint64_t seed);
-
-  /// Same population, then clusters the physical layout fragment-major
-  /// under the MDHF fragmentation given by `cluster_attrs` (empty attrs =
-  /// the degenerate single-fragment clustering). Plans derived from a
-  /// fragmentation with the same attributes execute fragment-confined via
-  /// the row-range directory. `enable_summaries` additionally builds the
-  /// measure prefix sums so fully-covered fragments are answered without
-  /// scanning rows (false = PR 3 behaviour, for A/B comparisons).
+  /// APB-1 density semantics), clusters the physical layout
+  /// fragment-major under the MDHF fragmentation given by `cluster_attrs`
+  /// (empty attrs = the degenerate single-fragment clustering, which
+  /// keeps generation row order), and builds all bitmap join indices.
+  /// Plans derived from a fragmentation with the same attributes execute
+  /// fragment-confined via the row-range directory. `enable_summaries`
+  /// additionally builds the measure prefix sums so fully-covered
+  /// fragments are answered without scanning rows (false = scan every
+  /// selected fragment, for A/B comparisons).
   /// `num_shards` > 1 splits the store into that many physical shards
   /// under `allocation` (num_disks is overridden by num_shards; bitmap
   /// placement is irrelevant to the in-memory store) — see the class
@@ -159,7 +163,7 @@ class MiniWarehouse {
   /// stay bit-identical to the in-RAM store; MdhfExecution additionally
   /// reports pages_read / buffer_hits / bytes_read.
   MiniWarehouse(StarSchema schema, std::uint64_t seed,
-                std::vector<FragAttr> cluster_attrs,
+                std::vector<FragAttr> cluster_attrs = {},
                 bool enable_summaries = true, int num_shards = 1,
                 AllocationConfig allocation = {},
                 storage::StoreOptions storage = {});
@@ -183,34 +187,31 @@ class MiniWarehouse {
 
   /// ---- Clustered-layout introspection ----
 
-  bool clustered() const { return cluster_frag_ != nullptr; }
   /// True iff the measure prefix sums exist, i.e. fully-covered fragments
   /// are answered from summaries instead of row scans.
   bool summaries_enabled() const { return summaries_enabled_; }
-  /// The clustering fragmentation, or nullptr for generation order.
+  /// The clustering fragmentation (never nullptr).
   const Fragmentation* cluster_fragmentation() const {
     return cluster_frag_.get();
   }
   /// True iff `fragmentation` matches the clustered layout (same schema
-  /// object, same attribute list), i.e. plans derived from it can use the
-  /// fragment directory.
+  /// object, same attribute list), i.e. plans derived from it can run
+  /// here. ExecuteWithPlan aborts on any other plan.
   bool ClusteredFor(const Fragmentation& fragmentation) const;
   /// Physical row range [begin, end) of fragment `id` in the clustered
-  /// layout; aborts when not clustered.
+  /// layout.
   std::pair<std::int64_t, std::int64_t> FragmentRows(FragId id) const;
 
   /// ---- Sharded-layout introspection ----
 
-  /// Number of physical shards (1 = unsharded, also for the
-  /// generation-order constructor).
+  /// Number of physical shards (1 = unsharded).
   int num_shards() const { return num_shards_; }
   /// The allocation mapping fragments to shards, or nullptr when
   /// num_shards() == 1.
   const DiskAllocation* shard_allocation() const {
     return shard_alloc_.get();
   }
-  /// Shard owning fragment `id` (always 0 when unsharded); aborts when
-  /// not clustered.
+  /// Shard owning fragment `id` (always 0 when unsharded).
   int ShardOfFragment(FragId id) const;
   /// Contiguous physical row region [begin, end) of shard `s`.
   std::pair<std::int64_t, std::int64_t> ShardRows(int s) const;
@@ -244,84 +245,86 @@ class MiniWarehouse {
   /// selections of all predicates, then aggregates the marked rows.
   AggregateResult ExecuteWithBitmaps(const StarQuery& query) const;
 
-  /// Work one shard contributed to a sharded execution. Deterministic:
-  /// which fragments (hence rows) belong to a shard is fixed by the
-  /// allocation at construction, independent of scheduling.
-  struct ShardWork {
+  /// The work counters of an execution, declared once and shared by the
+  /// whole-query records (MdhfExecution, QueryOutcome), the per-shard
+  /// split (MdhfExecution::shards) and the per-chunk partials; Merge is
+  /// the only way they combine, so the per-shard records always sum to
+  /// the totals.
+  ///
+  /// - fragments_processed: plan fragments executed (empty ones
+  ///   included).
+  /// - fragments_summarized / rows_summarized: the fully-covered
+  ///   fragments answered from the measure prefix sums (empty ones
+  ///   included) and the rows they contributed without being scanned.
+  ///   Zero when summaries are disabled.
+  /// - rows_scanned: rows actually scanned, i.e. rows of the *residual*
+  ///   fragments (with summaries disabled every processed fragment is
+  ///   residual, so this is all rows of the processed fragments).
+  /// - The IoCounters base, all zero for an in-RAM store: pages faulted
+  ///   from the segment files (demand misses plus pages prefetched for
+  ///   this query), pool pins served from cache, bytes faulted, and the
+  ///   buffer pool's failure accounting — failed read attempts, extra
+  ///   attempts the retry policy issued, and CRC verification failures.
+  ///
+  /// The logical counters are deterministic: which fragments (hence
+  /// rows) belong to a shard is fixed by the allocation at construction.
+  /// The I/O counters are NOT part of the bit-identical guarantee across
+  /// worker counts: with more than one worker, which chunk faults a
+  /// shared boundary page first depends on scheduling (serial execution
+  /// is deterministic).
+  struct ExecStats : storage::SegmentStore::IoCounters {
+    std::int64_t fragments_processed = 0;
+    std::int64_t fragments_summarized = 0;
     std::int64_t rows_scanned = 0;
     std::int64_t rows_summarized = 0;
-    /// Plan fragments routed to this shard, and the fully-covered ones
-    /// among them (empty fragments included).
-    std::int64_t fragments = 0;
-    std::int64_t fragments_summarized = 0;
-    /// I/O this shard's ranges cost in file-backed mode (all-zero in
-    /// RAM): pages faulted from its segment, pins served from the pool,
-    /// bytes faulted. Deterministic in serial execution; under parallel
-    /// execution the hit/fault split depends on scheduling (see
-    /// MdhfExecution).
-    std::int64_t pages_read = 0;
-    std::int64_t buffer_hits = 0;
-    std::int64_t bytes_read = 0;
 
-    /// Busy-work proxy behind the skew metric: one unit per residual row
-    /// scanned plus one per fragment answered from summaries (a summary
-    /// run costs O(1) per fragment, not per row).
-    std::int64_t BusyWork() const { return rows_scanned + fragments_summarized; }
+    void Merge(const ExecStats& o) {
+      IoCounters::Merge(o);
+      fragments_processed += o.fragments_processed;
+      fragments_summarized += o.fragments_summarized;
+      rows_scanned += o.rows_scanned;
+      rows_summarized += o.rows_summarized;
+    }
 
-    friend bool operator==(const ShardWork& a, const ShardWork& b) = default;
+    friend bool operator==(const ExecStats& a, const ExecStats& b) = default;
   };
 
-  /// MDHF execution under `fragmentation`: confines processing to the
-  /// plan's fragments, uses bitmaps only for the predicates the plan says
-  /// need them, and reports the work actually touched.
-  struct MdhfExecution {
+  /// What a scan chunk, a summary fold or a shard adds to an execution:
+  /// its counters, the aggregate of its hits, and the first storage error
+  /// its cursors hit. Execution-internal, public only as the base of
+  /// MdhfExecution.
+  struct Partial : ExecStats {
     AggregateResult result;
+    /// First error wins over the merge sequence; when not ok, `result`
+    /// is NOT trustworthy (a failed cursor answers zeros so the kernels
+    /// run to completion).
+    Status status;
+
+    void Merge(const Partial& o) {
+      ExecStats::Merge(o);
+      result.rows += o.result.rows;
+      result.units_sold += o.result.units_sold;
+      result.dollar_sales_cents += o.result.dollar_sales_cents;
+      status.Update(o.status);
+    }
+
+    friend bool operator==(const Partial& a, const Partial& b) = default;
+  };
+
+  /// MDHF execution of a plan (counters: see ExecStats). Confines
+  /// processing to the plan's fragments, uses bitmaps only for the
+  /// predicates the plan says need them, and reports the work actually
+  /// touched. When `status` is not ok, `result` (and `groups`) must be
+  /// discarded — the Warehouse layer nulls the aggregate. Partials merge
+  /// in fixed chunk order, so WHICH error surfaces is deterministic at
+  /// any worker count.
+  struct MdhfExecution : Partial {
     /// Per-group partials of a grouped execution (plan.grouped()), sparse
     /// and key-ascending; empty for ungrouped plans. `result` stays the
     /// grand total over all groups, so ungrouped consumers keep working
-    /// unchanged. Like `result`, only trustworthy when `status` is ok.
-    /// Sum of rows / rows_summarized over the groups equals the record's
-    /// result.rows / rows_summarized (counter partition).
+    /// unchanged. Sum of rows / rows_summarized over the groups equals
+    /// the record's result.rows / rows_summarized (counter partition).
     std::vector<GroupRow> groups;
-    std::int64_t fragments_processed = 0;
-    /// Rows actually scanned, i.e. rows of the *residual* fragments (with
-    /// summaries disabled every processed fragment is residual, so this
-    /// reverts to "rows in the processed fragments").
-    std::int64_t rows_scanned = 0;
-    /// Fully-covered fragments answered from the measure prefix sums
-    /// (empty ones included), and the rows they contributed without being
-    /// scanned. Zero when summaries are disabled or the layout fell back
-    /// to the membership scan.
-    std::int64_t fragments_summarized = 0;
-    std::int64_t rows_summarized = 0;
-    /// File-backed I/O of this execution (all-zero for an in-RAM store,
-    /// so records of RAM warehouses keep comparing equal as before):
-    /// pages faulted from the segment files (demand misses plus pages
-    /// prefetched for this query), pool pins served from cache, and
-    /// bytes faulted. Sums over `shards` equal the totals. Unlike the
-    /// aggregate and the logical counters these are NOT part of the
-    /// bit-identical guarantee across worker counts: with more than one
-    /// worker, which chunk faults a shared boundary page first depends
-    /// on scheduling (serial execution is deterministic).
-    std::int64_t pages_read = 0;
-    std::int64_t buffer_hits = 0;
-    std::int64_t bytes_read = 0;
-    /// First storage error this execution hit (ok for an in-RAM store and
-    /// for every fault-free file-backed run). When not ok, `result` is
-    /// NOT trustworthy — the failed cursor answered zeros so the kernels
-    /// could run to completion — and the caller must discard it (the
-    /// Warehouse layer nulls the aggregate). Partials merge in fixed
-    /// chunk order, so WHICH error surfaces is deterministic at any
-    /// worker count (first-error-wins over the merge sequence).
-    Status status;
-    /// Failure/retry accounting from the buffer pool, summed over this
-    /// execution's cursors: failed read attempts, extra attempts the
-    /// retry policy issued, and CRC verification failures. All zero on
-    /// a healthy store; like the I/O counters above they are exempt
-    /// from the bit-identical guarantee under parallel execution.
-    std::int64_t io_errors = 0;
-    std::int64_t io_retries = 0;
-    std::int64_t checksum_failures = 0;
     /// True iff this execution ran covered-only degraded mode
     /// (ExecOptions::covered_only): the aggregate covers exactly the
     /// plan's fully-covered fragments and the residual fragments were
@@ -329,65 +332,50 @@ class MiniWarehouse {
     /// callers must treat it as an under-approximation, not the full
     /// answer.
     bool degraded = false;
-    int bitmaps_read = 0;           ///< per fragment, from the plan
+    /// Plan facts, set on every return (a cancelled execution included).
+    int bitmaps_read = 0;  ///< per fragment
     QueryClass query_class = QueryClass::kUnsupported;
     IoClass io_class = IoClass::kIoc2NoSupp;
-    /// Per-shard work split, index = shard id. Populated only by sharded
-    /// clustered execution (num_shards > 1 and the plan matched the
-    /// layout); empty otherwise, so unsharded records are unchanged.
-    std::vector<ShardWork> shards;
+    /// Per-shard split, index = shard id, summing to the totals. Present
+    /// iff num_shards > 1; empty on an unsharded store.
+    std::vector<ExecStats> shards;
 
-    /// Skew of the shard work split: max/mean BusyWork over the shards
-    /// (1.0 = perfectly balanced, num_shards = all work on one shard).
-    /// 0 when unsharded or when the query did no work at all.
+    /// Skew of the shard work split: max/mean busy work over the shards,
+    /// where a shard's busy work is one unit per residual row scanned
+    /// plus one per fragment answered from summaries (a summary run
+    /// costs O(1) per fragment, not per row). 1.0 = perfectly balanced,
+    /// num_shards = all work on one shard; 0 when unsharded or when the
+    /// query did no work at all.
     double ShardSkew() const;
 
     friend bool operator==(const MdhfExecution& a,
                            const MdhfExecution& b) = default;
   };
-  /// Compatibility entry point: derives the plan internally, then
-  /// delegates to the plan-accepting overload below (one extra
-  /// QueryPlanner::Plan call per query — the plan-first pipeline through
-  /// mdw::Warehouse avoids it).
-  MdhfExecution ExecuteWithFragmentation(
-      const StarQuery& query, const Fragmentation& fragmentation) const;
 
-  /// Plan-first entry point: executes `query` under `plan` (derived by the
-  /// caller, typically once per batch through Warehouse's plan cache)
-  /// without re-planning. The plan's fragmentation must belong to this
-  /// warehouse's schema. When the plan's fragmentation matches the
-  /// clustered layout, execution walks the fragment directory and touches
-  /// only the plan's row ranges; otherwise it falls back to a full scan
-  /// with per-row fragment membership tests.
-  MdhfExecution ExecuteWithPlan(const StarQuery& query,
-                                const QueryPlan& plan) const;
-
-  /// Partition-parallel overload: splits the plan's row ranges (or, on the
-  /// fallback path, the whole table) into tasks executed on `pool`, each
-  /// accumulating a private partial aggregate; partials are merged at the
-  /// end, so the result — counters included — is identical for any worker
-  /// count (and to the serial overload). `pool == nullptr` runs serially.
+  /// Executes `query` under `plan` (derived by the caller, typically once
+  /// per batch through Warehouse's plan cache) without re-planning. The
+  /// plan must come from a fragmentation matching this store's
+  /// clustering (ClusteredFor) — anything else aborts — so execution
+  /// walks the fragment directory and touches only the plan's row
+  /// ranges.
+  ///
+  /// With `pool` the plan's row ranges are split into tasks (one
+  /// affinity queue per shard, idle lanes steal), each accumulating a
+  /// private partial merged in fixed order, so the result — counters
+  /// included — is identical for any worker count; nullptr runs
+  /// serially. `scratch` reuses its buffers instead of allocating per
+  /// query (nullptr = allocate locally); a batch loop passes one scratch
+  /// to all of its queries. `options` adds cooperative cancellation
+  /// and covered-only degradation: when options.cancel trips the
+  /// remaining chunks are abandoned and `status` carries the token's
+  /// typed error (kDeadlineExceeded/kCancelled) — the result must be
+  /// discarded, as for a storage error; a token that trips only after
+  /// the last chunk finished leaves the (complete, correct) record
+  /// untouched.
   MdhfExecution ExecuteWithPlan(const StarQuery& query, const QueryPlan& plan,
-                                const ThreadPool* pool) const;
-
-  /// Like above, reusing `scratch`'s buffers instead of allocating per
-  /// query (nullptr = allocate locally). Batch drivers pass one scratch
-  /// across their whole loop.
-  MdhfExecution ExecuteWithPlan(const StarQuery& query, const QueryPlan& plan,
-                                const ThreadPool* pool,
-                                ExecScratch* scratch) const;
-
-  /// Full-control overload: additionally threads `options` (cooperative
-  /// cancellation, covered-only degradation) through the execution. With
-  /// default options this is exactly the overload above. When
-  /// options.cancel trips mid-execution the remaining chunks are
-  /// abandoned and the record's status carries the token's typed error
-  /// (kDeadlineExceeded/kCancelled) — the result must be discarded, as
-  /// for a storage error; a token that trips only after the last chunk
-  /// finished leaves the (complete, correct) record untouched.
-  MdhfExecution ExecuteWithPlan(const StarQuery& query, const QueryPlan& plan,
-                                const ThreadPool* pool, ExecScratch* scratch,
-                                const ExecOptions& options) const;
+                                const ThreadPool* pool = nullptr,
+                                ExecScratch* scratch = nullptr,
+                                const ExecOptions& options = {}) const;
 
  private:
   void Populate(std::uint64_t seed);
@@ -399,47 +387,38 @@ class MiniWarehouse {
                        const storage::StoreOptions& options);
   void ResolveBitmapAccesses(const StarQuery& query, const QueryPlan& plan,
                              std::vector<BitmapAccess>* out) const;
-  /// Aggregates rows [begin, end) of the clustered layout under the
-  /// accesses' bitmap filters (evaluated over the range only), reading
-  /// measures from RAM or through per-chunk buffer-pool cursors
-  /// (file-backed mode, which also attributes the chunk's I/O into
-  /// `partial`). One call per scan chunk; safe to run concurrently.
-  /// With `groups` non-null every hit is additionally tallied into its
-  /// per-row group key (group.dim leaf / group.leaves_per).
-  void ScanChunk(std::int64_t begin, std::int64_t end,
+  /// ExecuteWithPlan after its checks and entry checkpoint: fills `exec`
+  /// (empty on entry) with everything but the plan facts.
+  void ExecuteFragments(const StarQuery& query, const QueryPlan& plan,
+                        const ThreadPool* pool, ExecScratch* scratch,
+                        const ExecOptions& options, MdhfExecution* exec) const;
+  /// Aggregates rows [begin, end) under the accesses' bitmap filters
+  /// (evaluated over the range only) into `partial`, reading measures
+  /// from RAM or through per-chunk buffer-pool cursors that count their
+  /// I/O into `partial`. One call per scan chunk; safe to run
+  /// concurrently on distinct partials. With `groups` non-null every hit
+  /// is additionally tallied into its per-row group key (group.dim leaf
+  /// / group.leaves_per).
+  void ScanChunk(const RowRange& chunk,
                  const std::vector<BitmapAccess>& accesses,
                  const GroupContext& group, const CancellationToken& cancel,
-                 MdhfExecution* partial, GroupAccum* groups) const;
-  MdhfExecution ExecuteClustered(const QueryPlan& plan,
-                                 const std::vector<BitmapAccess>& accesses,
-                                 const GroupContext& group,
-                                 const ThreadPool* pool,
-                                 const ExecOptions& options,
-                                 GroupAccum* groups) const;
-  /// Executes routed per-shard selections: affinity tasks + stealing on
-  /// `pool` (serial in shard order without one), fixed-order merge.
-  MdhfExecution ExecuteSharded(const std::vector<ShardSelection>& shards,
-                               const std::vector<BitmapAccess>& accesses,
-                               const GroupContext& group,
-                               const ThreadPool* pool,
-                               const ExecOptions& options,
-                               GroupAccum* groups) const;
-  MdhfExecution ExecuteUnclustered(const QueryPlan& plan,
-                                   const std::vector<BitmapAccess>& accesses,
-                                   const GroupContext& group,
-                                   const ThreadPool* pool,
-                                   const ExecOptions& options,
-                                   GroupAccum* groups) const;
-  /// Folds a summary run [begin, end) into exec from the prefix sums.
-  /// With `groups` non-null the run is additionally credited to
+                 Partial* partial, GroupAccum* groups) const;
+  /// Executes per-shard selections — selections[i] belongs to shard
+  /// first_shard + i — into `exec` (empty on entry): affinity tasks +
+  /// stealing on `pool` (serial in shard order without one), fixed-order
+  /// merge.
+  void ExecuteSharded(std::span<const ShardSelection> selections,
+                      int first_shard,
+                      const std::vector<BitmapAccess>& accesses,
+                      const GroupContext& group, const ThreadPool* pool,
+                      const ExecOptions& options, GroupAccum* groups,
+                      MdhfExecution* exec) const;
+  /// Folds a summary run [begin, end) into `partial` from the prefix
+  /// sums. With `groups` non-null the run is additionally credited to
   /// `group_key` (aligned grouped plans: the whole run lies in one group).
   void FoldSummaryRun(const RowRange& run, const CancellationToken& cancel,
-                      MdhfExecution* exec, std::int64_t group_key = -1,
-                      GroupAccum* groups = nullptr) const;
-  /// Fills exec->shards by attributing the record's entire work to the
-  /// shard owning fragment `id` — the single-fragment counterpart of
-  /// ExecuteSharded's per-shard merge. No-op when unsharded.
-  void AttributeWorkToFragmentShard(FragId id, MdhfExecution* exec) const;
+                      Partial* partial, std::int64_t group_key,
+                      GroupAccum* groups) const;
 
   StarSchema schema_;
   std::int64_t row_count_ = 0;
@@ -453,8 +432,8 @@ class MiniWarehouse {
   /// pool; nullptr for the in-RAM store.
   std::unique_ptr<storage::SegmentStore> store_;
 
-  /// Clustered layout (nullptr/empty when rows are in generation order):
-  /// rows of fragment f occupy [frag_offsets_[r], frag_offsets_[r+1])
+  /// Clustered layout: rows of fragment f occupy
+  /// [frag_offsets_[r], frag_offsets_[r+1])
   /// where r = frag_rank_[f], the fragment's position in shard-major
   /// order (identity when unsharded, so ranks == ids).
   std::unique_ptr<Fragmentation> cluster_frag_;
@@ -471,7 +450,7 @@ class MiniWarehouse {
 
   /// Measure prefix sums in clustered row order (size row_count() + 1,
   /// P[0] = 0): sum over physical rows [b, e) is P[e] - P[b]. Built only
-  /// by the clustered constructor with summaries enabled.
+  /// with summaries enabled.
   bool summaries_enabled_ = false;
   std::vector<std::int64_t> units_prefix_;
   std::vector<std::int64_t> dollars_prefix_;

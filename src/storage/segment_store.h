@@ -175,6 +175,18 @@ class SegmentStore {
     std::int64_t io_errors = 0;
     std::int64_t io_retries = 0;
     std::int64_t checksum_failures = 0;
+
+    void Merge(const IoCounters& o) {
+      pages_read += o.pages_read;
+      buffer_hits += o.buffer_hits;
+      bytes_read += o.bytes_read;
+      io_errors += o.io_errors;
+      io_retries += o.io_retries;
+      checksum_failures += o.checksum_failures;
+    }
+
+    friend bool operator==(const IoCounters& a,
+                           const IoCounters& b) = default;
   };
 
   /// A read cursor over one column, addressed by global clustered row

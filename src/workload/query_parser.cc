@@ -292,15 +292,4 @@ StatusOr<StarQuery> ParseSql(const StarSchema& schema, std::string_view sql) {
                    group_by, order_by);
 }
 
-std::optional<StarQuery> ParseStarQuery(const StarSchema& schema,
-                                        const std::string& sql,
-                                        std::string* error) {
-  StatusOr<StarQuery> parsed = ParseSql(schema, sql);
-  if (!parsed.ok()) {
-    if (error != nullptr) *error = parsed.status().message();
-    return std::nullopt;
-  }
-  return std::move(parsed).value();
-}
-
 }  // namespace mdw

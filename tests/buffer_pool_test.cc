@@ -246,7 +246,8 @@ TEST(BufferPoolTest, ConcurrentScansOverSmallPoolStayCorrect) {
   BufferPool pool(8, kPageSize);
   constexpr int kThreads = 4;
   std::vector<std::thread> threads;
-  std::vector<bool> ok(kThreads, false);
+  // One slot per thread; not vector<bool>, whose bits share words.
+  std::vector<char> ok(kThreads, 0);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       bool all_good = true;
@@ -414,7 +415,8 @@ TEST(BufferPoolTest, ConcurrentPinsUnderInjectedFaultsRecover) {
                                      /*max_backoff_us=*/0});
   constexpr int kThreads = 8;
   std::vector<std::thread> threads;
-  std::vector<bool> ok(kThreads, false);
+  // One slot per thread; not vector<bool>, whose bits share words.
+  std::vector<char> ok(kThreads, 0);
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       bool all_good = true;

@@ -167,6 +167,26 @@ TEST(DeadlineExecutionTest, TrippedTokenYieldsTypedStatusNeverAnAggregate) {
   }
 }
 
+TEST(DeadlineExecutionTest, CancelledAtEntryKeepsThePlanFacts) {
+  // A token tripped before execution starts still reports what the plan
+  // selected: 1MONTH selects 24 of the month x group fragments.
+  const Warehouse wh = TinyMaterialized(1);
+  const StarQuery query = apb1_queries::OneMonth(5);
+  const QueryPlan plan = wh.Plan(query);
+  ASSERT_EQ(plan.FragmentCount(), 24);
+  MiniWarehouse::ExecOptions options;
+  options.cancel = CancellationToken::Manual();
+  options.cancel.Cancel();
+  const auto exec = wh.materialized()->ExecuteWithPlan(query, plan, nullptr,
+                                                       nullptr, options);
+  EXPECT_EQ(exec.status.code(), StatusCode::kCancelled);
+  EXPECT_EQ(exec.fragments_processed, 24);
+  EXPECT_EQ(exec.bitmaps_read, plan.BitmapsPerFragment());
+  EXPECT_EQ(exec.query_class, plan.query_class());
+  EXPECT_EQ(exec.io_class, plan.io_class());
+  EXPECT_FALSE(exec.degraded);
+}
+
 TEST(DeadlineExecutionTest, UntrippedTokenLeavesResultsBitIdentical) {
   for (const int shards : {1, 4}) {
     const Warehouse wh = TinyMaterialized(1, shards);
@@ -344,8 +364,12 @@ TEST(DeadlineSchedulerTest, ExpiredWaitingQueriesAreShedNotDispatched) {
   EXPECT_EQ(schedule.ServedCount(), 1);
   EXPECT_EQ(schedule.ShedExpiredCount(), 2);
   for (const auto& q : schedule.admitted) {
-    if (q.served) EXPECT_LE(q.completion_vt, q.deadline_vt);
-    if (q.shed_expired) EXPECT_FALSE(q.served);
+    if (q.served) {
+      EXPECT_LE(q.completion_vt, q.deadline_vt);
+    }
+    if (q.shed_expired) {
+      EXPECT_FALSE(q.served);
+    }
   }
 
   const ServeMetrics metrics =
@@ -375,7 +399,9 @@ TEST(DeadlineSchedulerTest, DegradePolicyRescuesExpiringQueries) {
   EXPECT_FALSE(schedule.admitted[0].degraded);  // ran at full demand
   for (const auto& q : schedule.admitted) {
     EXPECT_LE(q.completion_vt, q.deadline_vt);
-    if (q.degraded) EXPECT_EQ(q.demand, 10);
+    if (q.degraded) {
+      EXPECT_EQ(q.demand, 10);
+    }
   }
   const ServeMetrics metrics =
       ComputeServeMetrics(schedule, arrivals, config);
@@ -581,11 +607,26 @@ TEST(DeadlineServingTest, ServeWideCancellationYieldsTypedOutcomes) {
 
   const Warehouse wh = TinyMaterialized(2);
   const auto arrivals = TinyTrace(&wh.schema(), 24);
-  const BatchOutcome batch = wh.Serve(arrivals, config);
+  ServeSchedule schedule;
+  const BatchOutcome batch = wh.Serve(arrivals, config, &schedule);
   ASSERT_FALSE(batch.queries.empty());
-  for (const auto& out : batch.queries) {
+  // Outcome k is the k-th served query in admission order.
+  std::vector<std::int64_t> served_arrivals;
+  for (const auto& sq : schedule.admitted) {
+    if (sq.served) served_arrivals.push_back(sq.arrival_index);
+  }
+  ASSERT_EQ(served_arrivals.size(), batch.queries.size());
+  for (std::size_t k = 0; k < batch.queries.size(); ++k) {
+    const QueryOutcome& out = batch.queries[k];
     EXPECT_EQ(out.status.code(), StatusCode::kCancelled);
     EXPECT_FALSE(out.aggregate.has_value());
+    // Plan facts survive the cancellation.
+    const QueryPlan plan = wh.Plan(
+        arrivals[static_cast<std::size_t>(served_arrivals[k])].query);
+    EXPECT_EQ(out.fragments_processed, plan.FragmentCount()) << k;
+    EXPECT_EQ(out.bitmaps_per_fragment, plan.BitmapsPerFragment()) << k;
+    EXPECT_EQ(out.query_class, plan.query_class()) << k;
+    EXPECT_EQ(out.io_class, plan.io_class()) << k;
   }
   ASSERT_TRUE(batch.serving.has_value());
   EXPECT_EQ(batch.serving->total.cancelled,

@@ -313,7 +313,6 @@ TEST(FaultInjectionTest, ServeRequeuesTransientFailuresInPlace) {
     ASSERT_TRUE(batch.serving.has_value());
     EXPECT_EQ(batch.serving->total.failed, 0);
     EXPECT_EQ(batch.serving->total.requeued, 1);
-    ASSERT_TRUE(batch.total_aggregate.has_value());
     int requeued = 0;
     for (const QueryOutcome& out : batch.queries) {
       EXPECT_TRUE(out.status.ok()) << out.status.ToString();
@@ -329,6 +328,34 @@ TEST(FaultInjectionTest, ServeRequeuesTransientFailuresInPlace) {
     std::int64_t stream_requeues = 0;
     for (const auto& s : batch.serving->streams) stream_requeues += s.requeued;
     EXPECT_EQ(stream_requeues, 1);
+  }
+
+  // On a sharded store the failed attempt's I/O and failure counters land
+  // in the shard records as well as the totals, so a requeued outcome's
+  // shards still sum to its counters.
+  {
+    TempDir dir;
+    const Warehouse wh = MakeFaulty(4, /*workers=*/1, dir.path(), one_eio,
+                                    /*retry=*/{}, /*prefetch=*/false);
+    scfg.max_requeues = 1;
+    const BatchOutcome batch = wh.Serve(SweepArrivals(), scfg);
+    ASSERT_TRUE(batch.serving.has_value());
+    EXPECT_EQ(batch.serving->total.failed, 0);
+    EXPECT_EQ(batch.serving->total.requeued, 1);
+    int requeued = 0;
+    for (const QueryOutcome& out : batch.queries) {
+      EXPECT_TRUE(out.status.ok()) << out.status.ToString();
+      ASSERT_EQ(out.shards.size(), 4u);
+      MiniWarehouse::ExecStats merged;
+      for (const auto& shard : out.shards) merged.Merge(shard);
+      EXPECT_EQ(merged, static_cast<const MiniWarehouse::ExecStats&>(out))
+          << "requeues=" << out.requeues;
+      if (out.requeues > 0) {
+        ++requeued;
+        EXPECT_EQ(out.io_errors, 1);
+      }
+    }
+    EXPECT_EQ(requeued, 1);
   }
 }
 

@@ -1,22 +1,36 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <tuple>
+#include <vector>
 
 #include "core/mini_warehouse.h"
+#include "fragment/query_planner.h"
 #include "schema/apb1.h"
 
 namespace mdw {
 namespace {
 
-// The shared warehouse is expensive to build; construct it once.
+// The shared warehouse is expensive to build; construct it once. It is
+// clustered under {time::month, product::group} with summaries off, so
+// every selected fragment is scanned and rows_scanned counts its rows.
 class MiniWarehouseTest : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    warehouse_ = new MiniWarehouse(MakeTinyApb1Schema(), /*seed=*/42);
+    warehouse_ = new MiniWarehouse(MakeTinyApb1Schema(), /*seed=*/42,
+                                   {{kApb1Time, 2}, {kApb1Product, 3}},
+                                   /*enable_summaries=*/false);
   }
   static void TearDownTestSuite() {
     delete warehouse_;
     warehouse_ = nullptr;
+  }
+
+  /// MDHF execution under the store's own fragmentation.
+  static MiniWarehouse::MdhfExecution Mdhf(const StarQuery& q) {
+    const QueryPlanner planner(&warehouse_->schema(),
+                               warehouse_->cluster_fragmentation());
+    return warehouse_->ExecuteWithPlan(q, planner.Plan(q));
   }
 
   static MiniWarehouse* warehouse_;
@@ -74,11 +88,9 @@ TEST_F(MiniWarehouseTest, EmptyPredicateQueryAggregatesEverything) {
 TEST_F(MiniWarehouseTest, MdhfConfinesRowsScanned) {
   // 1MONTH1GROUP under {time::month, product::group}: IOC1-opt — the
   // fragment contains exactly the matching rows.
-  const Fragmentation f(&warehouse_->schema(),
-                        {{kApb1Time, 2}, {kApb1Product, 3}});
   const StarQuery q("1MONTH1GROUP",
                     {{kApb1Time, 2, {3}}, {kApb1Product, 3, {7}}});
-  const auto exec = warehouse_->ExecuteWithFragmentation(q, f);
+  const auto exec = Mdhf(q);
   EXPECT_EQ(exec.result, warehouse_->ExecuteFullScan(q));
   EXPECT_EQ(exec.io_class, IoClass::kIoc1Opt);
   EXPECT_EQ(exec.fragments_processed, 1);
@@ -88,13 +100,11 @@ TEST_F(MiniWarehouseTest, MdhfConfinesRowsScanned) {
 }
 
 TEST_F(MiniWarehouseTest, MdhfQ2UsesSuffixBitmaps) {
-  const Fragmentation f(&warehouse_->schema(),
-                        {{kApb1Time, 2}, {kApb1Product, 3}});
   // Tiny product: 96 codes, 24 groups -> 4 codes per group; code 30 is in
   // group 7.
   const StarQuery q("1CODE1MONTH",
                     {{kApb1Product, 5, {30}}, {kApb1Time, 2, {3}}});
-  const auto exec = warehouse_->ExecuteWithFragmentation(q, f);
+  const auto exec = Mdhf(q);
   EXPECT_EQ(exec.result, warehouse_->ExecuteFullScan(q));
   EXPECT_EQ(exec.query_class, QueryClass::kQ2);
   EXPECT_EQ(exec.fragments_processed, 1);
@@ -104,10 +114,8 @@ TEST_F(MiniWarehouseTest, MdhfQ2UsesSuffixBitmaps) {
 }
 
 TEST_F(MiniWarehouseTest, MdhfUnsupportedStillCorrect) {
-  const Fragmentation f(&warehouse_->schema(),
-                        {{kApb1Time, 2}, {kApb1Product, 3}});
   const StarQuery q("1STORE", {{kApb1Customer, 1, {17}}});
-  const auto exec = warehouse_->ExecuteWithFragmentation(q, f);
+  const auto exec = Mdhf(q);
   EXPECT_EQ(exec.result, warehouse_->ExecuteFullScan(q));
   EXPECT_EQ(exec.io_class, IoClass::kIoc2NoSupp);
   // All fragments processed; all rows scanned.
@@ -117,10 +125,8 @@ TEST_F(MiniWarehouseTest, MdhfUnsupportedStillCorrect) {
 TEST_F(MiniWarehouseTest, MdhfInListAcrossGroupsStaysCorrect) {
   // Codes 2 and 50 belong to different groups: the suffix-bitmap shortcut
   // must not be applied (regression test for cross-parent aliasing).
-  const Fragmentation f(&warehouse_->schema(),
-                        {{kApb1Time, 2}, {kApb1Product, 3}});
   const StarQuery q("2CODES", {{kApb1Product, 5, {2, 50}}});
-  const auto exec = warehouse_->ExecuteWithFragmentation(q, f);
+  const auto exec = Mdhf(q);
   EXPECT_EQ(exec.result, warehouse_->ExecuteFullScan(q));
 }
 
@@ -131,11 +137,23 @@ TEST_F(MiniWarehouseTest, MeasuresArePositive) {
   EXPECT_GT(r.dollar_sales_cents, r.rows);  // each row >= 100 cents
 }
 
+TEST_F(MiniWarehouseTest, PlanOfAnotherFragmentationAborts) {
+  // Every plan must match the store's clustering: a plan derived under
+  // {time::quarter} cannot run on the month x group layout.
+  const Fragmentation quarter(&warehouse_->schema(), {{kApb1Time, 1}});
+  const QueryPlanner planner(&warehouse_->schema(), &quarter);
+  const StarQuery q("1QUARTER", {{kApb1Time, 1, {2}}});
+  const QueryPlan plan = planner.Plan(q);
+  EXPECT_DEATH(warehouse_->ExecuteWithPlan(q, plan),
+               "does not match this warehouse's clustering");
+}
+
 // ---- Exhaustive cross-validation sweep ----
 // For every fragmentation shape and every paper query type, the MDHF
-// execution must equal the full scan. This is the central end-to-end
-// property of the reproduction: fragment confinement + hierarchical
-// encoded bitmap evaluation never changes query results.
+// execution on a store clustered under that fragmentation must equal the
+// full scan. This is the central end-to-end property of the
+// reproduction: fragment confinement + hierarchical encoded bitmap
+// evaluation never changes query results.
 
 struct SweepCase {
   const char* frag_label;
@@ -198,14 +216,21 @@ class MdhfEquivalenceSweep
 };
 
 TEST_P(MdhfEquivalenceSweep, MdhfEqualsFullScan) {
-  static MiniWarehouse* warehouse =
-      new MiniWarehouse(MakeTinyApb1Schema(), /*seed=*/42);
   const auto [frag_index, query_index] = GetParam();
   const auto& sweep_case =
       Fragmentations()[static_cast<std::size_t>(frag_index)];
   const auto& query = Queries()[static_cast<std::size_t>(query_index)];
-  const Fragmentation f(&warehouse->schema(), sweep_case.attrs);
-  const auto exec = warehouse->ExecuteWithFragmentation(query, f);
+  // One store per fragmentation, clustered under it.
+  static std::vector<std::unique_ptr<MiniWarehouse>> stores(
+      Fragmentations().size());
+  auto& warehouse = stores[static_cast<std::size_t>(frag_index)];
+  if (warehouse == nullptr) {
+    warehouse = std::make_unique<MiniWarehouse>(MakeTinyApb1Schema(),
+                                                /*seed=*/42, sweep_case.attrs);
+  }
+  const QueryPlanner planner(&warehouse->schema(),
+                             warehouse->cluster_fragmentation());
+  const auto exec = warehouse->ExecuteWithPlan(query, planner.Plan(query));
   const auto expected = warehouse->ExecuteFullScan(query);
   EXPECT_EQ(exec.result, expected)
       << "fragmentation " << sweep_case.frag_label << " query "

@@ -1,6 +1,6 @@
 // File-backed store tests: bit-identical parity of the paged segment
 // store against the in-RAM store across shard and worker counts (facade
-// execution, full scans, bitmap and membership-fallback paths), segment
+// execution, full scans, bitmap paths, and another clustering), segment
 // reuse and rejection of stale/corrupt/truncated files, the on-disk
 // format invariants, query I/O counters against the buffer pool's own
 // accounting (and their per-shard split), service through a pool far
@@ -24,6 +24,7 @@
 #include "core/paged_layout.h"
 #include "core/warehouse.h"
 #include "fragment/fragmentation.h"
+#include "fragment/query_planner.h"
 #include "fragment/star_query.h"
 #include "schema/apb1.h"
 #include "storage/segment_store.h"
@@ -130,7 +131,8 @@ void ExpectLogicalParity(const QueryOutcome& ram, const QueryOutcome& paged) {
   for (std::size_t s = 0; s < ram.shards.size(); ++s) {
     EXPECT_EQ(ram.shards[s].rows_scanned, paged.shards[s].rows_scanned);
     EXPECT_EQ(ram.shards[s].rows_summarized, paged.shards[s].rows_summarized);
-    EXPECT_EQ(ram.shards[s].fragments, paged.shards[s].fragments);
+    EXPECT_EQ(ram.shards[s].fragments_processed,
+              paged.shards[s].fragments_processed);
     EXPECT_EQ(ram.shards[s].fragments_summarized,
               paged.shards[s].fragments_summarized);
     EXPECT_EQ(ram.shards[s].pages_read, 0);
@@ -168,21 +170,29 @@ TEST(PagedStorageTest, FacadeParityAcrossShardsAndWorkers) {
 
 TEST(PagedStorageTest, FullScanBitmapAndFallbackParity) {
   TempDir dir;
-  const MiniWarehouse ram = MakeRam(2);
-  const MiniWarehouse paged = MakePaged(2, Opts(dir.path()));
+  // A clustering other than the month x group one of the other tests, on
+  // both stores.
+  const std::vector<FragAttr> quarter = {{kApb1Time, 1}};
+  const MiniWarehouse ram(MakeTinyApb1Schema(), 42, quarter,
+                          /*enable_summaries=*/true, /*num_shards=*/2);
+  const MiniWarehouse paged(MakeTinyApb1Schema(), 42, quarter,
+                            /*enable_summaries=*/true, /*num_shards=*/2, {},
+                            Opts(dir.path()));
   ASSERT_TRUE(paged.file_backed());
-  // A fragmentation that does NOT match the clustered layout forces the
-  // per-row membership fallback (ExecuteUnclustered) on both stores.
-  const Fragmentation other_ram(&ram.schema(), {{kApb1Time, 1}});
-  const Fragmentation other_paged(&paged.schema(), {{kApb1Time, 1}});
+  const Fragmentation f_ram(&ram.schema(), quarter);
+  const Fragmentation f_paged(&paged.schema(), quarter);
+  const QueryPlanner p_ram(&ram.schema(), &f_ram);
+  const QueryPlanner p_paged(&paged.schema(), &f_paged);
   for (const StarQuery& q : QuerySweep()) {
     EXPECT_EQ(ram.ExecuteFullScan(q), paged.ExecuteFullScan(q)) << q.name();
     EXPECT_EQ(ram.ExecuteWithBitmaps(q), paged.ExecuteWithBitmaps(q))
         << q.name();
-    const auto a = ram.ExecuteWithFragmentation(q, other_ram);
-    const auto b = paged.ExecuteWithFragmentation(q, other_paged);
+    const auto a = ram.ExecuteWithPlan(q, p_ram.Plan(q));
+    const auto b = paged.ExecuteWithPlan(q, p_paged.Plan(q));
     EXPECT_EQ(a.result, b.result) << q.name();
+    EXPECT_EQ(a.result, ram.ExecuteFullScan(q)) << q.name();
     EXPECT_EQ(a.rows_scanned, b.rows_scanned) << q.name();
+    EXPECT_EQ(a.rows_summarized, b.rows_summarized) << q.name();
   }
 }
 
@@ -221,9 +231,11 @@ TEST(PagedStorageTest, StaleSegmentsOfAnotherDatasetAreRewritten) {
   const MiniWarehouse ram43 = MakeRam(2, /*seed=*/43);
   const Fragmentation frag(&ram43.schema(), MonthGroup());
   const Fragmentation frag_paged(&seed43.schema(), MonthGroup());
+  const QueryPlanner planner(&ram43.schema(), &frag);
+  const QueryPlanner planner_paged(&seed43.schema(), &frag_paged);
   for (const StarQuery& q : QuerySweep()) {
-    EXPECT_EQ(ram43.ExecuteWithFragmentation(q, frag).result,
-              seed43.ExecuteWithFragmentation(q, frag_paged).result)
+    EXPECT_EQ(ram43.ExecuteWithPlan(q, planner.Plan(q)).result,
+              seed43.ExecuteWithPlan(q, planner_paged.Plan(q)).result)
         << q.name();
   }
 }

@@ -1,6 +1,6 @@
 // Tests of the plan-first execution pipeline (docs/ARCHITECTURE.md): a
 // batch of N queries must cost exactly N QueryPlanner::Plan invocations
-// end to end, plan-accepting engine entry points must match their
+// end to end, plan-accepting simulator entry points must match their
 // plan-internally compatibility overloads, and cached plans must execute
 // identically to freshly derived ones on both backends.
 
@@ -8,7 +8,6 @@
 
 #include <vector>
 
-#include "core/mini_warehouse.h"
 #include "core/warehouse.h"
 #include "fragment/star_query.h"
 #include "schema/apb1.h"
@@ -86,22 +85,7 @@ TEST(PlanFirstCountingTest, CachedRepeatsDeriveNothing) {
 }
 
 // ---------------------------------------------------------------------------
-// Plan-accepting engine entry points match the planning overloads.
-
-TEST(PlanFirstEngineTest, MiniWarehousePlanOverloadMatchesCompat) {
-  const MiniWarehouse mini(MakeTinyApb1Schema(), kSeed);
-  const Fragmentation frag(&mini.schema(), MonthGroup());
-  const QueryPlanner planner(&mini.schema(), &frag);
-  for (const auto& q : DistinctQueries()) {
-    const auto compat = mini.ExecuteWithFragmentation(q, frag);
-    const auto plan_first = mini.ExecuteWithPlan(q, planner.Plan(q));
-    EXPECT_EQ(plan_first.result, compat.result) << q.name();
-    EXPECT_EQ(plan_first.rows_scanned, compat.rows_scanned) << q.name();
-    EXPECT_EQ(plan_first.fragments_processed, compat.fragments_processed);
-    EXPECT_EQ(plan_first.query_class, compat.query_class);
-    EXPECT_EQ(plan_first.io_class, compat.io_class);
-  }
-}
+// Plan-accepting simulator entry points match the planning overloads.
 
 TEST(PlanFirstEngineTest, SimulatorPlanOverloadMatchesCompat) {
   SimConfig sim;

@@ -12,17 +12,15 @@ class ParserTest : public ::testing::Test {
   ParserTest() : schema_(MakeApb1Schema()) {}
 
   StarQuery MustParse(const std::string& sql) {
-    std::string error;
-    auto query = ParseStarQuery(schema_, sql, &error);
-    EXPECT_TRUE(query.has_value()) << sql << " -> " << error;
-    return query.value_or(StarQuery("invalid", {}));
+    StatusOr<StarQuery> query = ParseSql(schema_, sql);
+    EXPECT_TRUE(query.ok()) << sql << " -> " << query.status().message();
+    return query.ok() ? *std::move(query) : StarQuery("invalid", {});
   }
 
   std::string MustFail(const std::string& sql) {
-    std::string error;
-    auto query = ParseStarQuery(schema_, sql, &error);
-    EXPECT_FALSE(query.has_value()) << sql;
-    return error;
+    const StatusOr<StarQuery> query = ParseSql(schema_, sql);
+    EXPECT_FALSE(query.ok()) << sql;
+    return query.status().message();
   }
 
   StarSchema schema_;
@@ -208,11 +206,9 @@ TEST_F(ParserTest, RejectsMalformedSyntax) {
 
 TEST_F(ParserTest, WorksOnTinySchema) {
   const auto tiny = MakeTinyApb1Schema();
-  std::string error;
-  const auto q = ParseStarQuery(
-      tiny, "SELECT SUM(UnitsSold) FROM tiny_sales WHERE product.code = 30",
-      &error);
-  ASSERT_TRUE(q.has_value()) << error;
+  const auto q = ParseSql(
+      tiny, "SELECT SUM(UnitsSold) FROM tiny_sales WHERE product.code = 30");
+  ASSERT_TRUE(q.ok()) << q.status().message();
   EXPECT_EQ(q->predicates()[0].values[0], 30);
 }
 
