@@ -19,7 +19,8 @@ double Run(const mdw::StarSchema& schema, const mdw::Fragmentation& frag,
   config.tasks_per_node = t;
   config.bitmap_placement = placement;
   config.parallel_bitmap_io = parallel_io;
-  mdw::WorkloadDriver driver(&schema, &frag, config);
+  mdw::WorkloadDriver driver(mdw::Warehouse(
+      {.schema = schema, .fragmentation = frag.attrs(), .sim = config}));
   return driver.RunSingleUser(type, 1).avg_response_ms;
 }
 

@@ -19,7 +19,8 @@ mdw::SimResult Run(const mdw::StarSchema& schema,
   config.num_nodes = 20;
   config.tasks_per_node = 5;
   config.fragment_cluster_factor = cluster;
-  mdw::WorkloadDriver driver(&schema, &frag, config);
+  mdw::WorkloadDriver driver(mdw::Warehouse(
+      {.schema = schema, .fragmentation = frag.attrs(), .sim = config}));
   return driver.RunSingleUser(type, 1);
 }
 

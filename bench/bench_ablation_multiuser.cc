@@ -23,7 +23,8 @@ int main() {
     config.num_disks = 100;
     config.num_nodes = 20;
     config.tasks_per_node = 4;
-    mdw::WorkloadDriver driver(&schema, &frag, config);
+    mdw::WorkloadDriver driver(mdw::Warehouse(
+        {.schema = schema, .fragmentation = frag.attrs(), .sim = config}));
     const auto result = driver.RunMix(
         {{mdw::QueryType::k1Group1Store, 16}}, streams);
     table.AddRow({std::to_string(streams),

@@ -32,7 +32,8 @@ int main() {
       config.num_disks = d;
       config.num_nodes = p;
       config.tasks_per_node = std::max(1, d / p);
-      mdw::WorkloadDriver driver(&schema, &frag, config);
+      mdw::WorkloadDriver driver(mdw::Warehouse(
+          {.schema = schema, .fragmentation = frag.attrs(), .sim = config}));
       const auto result = driver.RunSingleUser(mdw::QueryType::k1Store, 1);
       if (d == disks[0]) base_response = result.avg_response_ms;
       table.AddRow({ratio_names[r], std::to_string(d), std::to_string(p),

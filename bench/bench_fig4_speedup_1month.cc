@@ -16,7 +16,8 @@ double Run(const mdw::StarSchema& schema, const mdw::Fragmentation& frag,
   config.num_disks = d;
   config.num_nodes = p;
   config.tasks_per_node = t;
-  mdw::WorkloadDriver driver(&schema, &frag, config);
+  mdw::WorkloadDriver driver(mdw::Warehouse(
+      {.schema = schema, .fragmentation = frag.attrs(), .sim = config}));
   return driver.RunSingleUser(mdw::QueryType::k1Month, 1).avg_response_ms;
 }
 

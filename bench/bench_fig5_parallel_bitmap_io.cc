@@ -27,7 +27,8 @@ int main() {
       config.num_nodes = 20;
       config.tasks_per_node = t;
       config.parallel_bitmap_io = parallel;
-      mdw::WorkloadDriver driver(&schema, &frag, config);
+      mdw::WorkloadDriver driver(mdw::Warehouse(
+          {.schema = schema, .fragmentation = frag.attrs(), .sim = config}));
       response[parallel ? 1 : 0] =
           driver.RunSingleUser(mdw::QueryType::k1Store, 1).avg_response_ms;
     }

@@ -24,7 +24,8 @@ double Run(const mdw::StarSchema& schema, const mdw::Fragmentation& frag,
   config.num_nodes = 20;
   config.tasks_per_node = std::max(1, (dop + 19) / 20);
   config.global_task_cap = dop;
-  mdw::WorkloadDriver driver(&schema, &frag, config);
+  mdw::WorkloadDriver driver(mdw::Warehouse(
+      {.schema = schema, .fragmentation = frag.attrs(), .sim = config}));
   return driver.RunSingleUser(type, 1).avg_response_ms;
 }
 

@@ -31,18 +31,6 @@ BitVector IndexSet::Select(DimId dim, Depth depth, std::int64_t value) const {
   return simple_[static_cast<std::size_t>(dim)]->Select(depth, value);
 }
 
-BitVector IndexSet::SelectWithinFragment(DimId dim, Depth depth,
-                                         std::int64_t value,
-                                         Depth fragment_depth) const {
-  const auto& d = schema_.dimension(dim);
-  if (d.index_kind() == IndexKind::kEncoded) {
-    const int skip = d.hierarchy().PrefixBits(fragment_depth);
-    return encoded_[static_cast<std::size_t>(dim)]->SelectWithinPrefix(
-        depth, value, skip);
-  }
-  return simple_[static_cast<std::size_t>(dim)]->Select(depth, value);
-}
-
 BitVector IndexSet::SelectSlice(DimId dim, Depth depth, std::int64_t value,
                                 std::int64_t begin, std::int64_t end) const {
   const auto& d = schema_.dimension(dim);

@@ -36,13 +36,6 @@ class IndexSet {
   /// Rows matching value@depth on dimension `dim` (reads the index).
   BitVector Select(DimId dim, Depth depth, std::int64_t value) const;
 
-  /// Rows matching value@depth when processing is already confined to rows
-  /// sharing the dimension's prefix down to `fragment_depth` (only
-  /// meaningful for encoded indices; for simple indices this is a plain
-  /// Select).
-  BitVector SelectWithinFragment(DimId dim, Depth depth, std::int64_t value,
-                                 Depth fragment_depth) const;
-
   /// Range-restricted Select: the selection's bits over rows [begin, end)
   /// only, as a vector of size end-begin (bit i = row begin+i). This is
   /// how fragment-confined execution evaluates predicates per fragment
@@ -50,7 +43,10 @@ class IndexSet {
   BitVector SelectSlice(DimId dim, Depth depth, std::int64_t value,
                         std::int64_t begin, std::int64_t end) const;
 
-  /// Range-restricted SelectWithinFragment (same row-range semantics).
+  /// Rows in [begin, end) (same row-range semantics) matching value@depth
+  /// when processing is already confined to rows sharing the dimension's
+  /// prefix down to `fragment_depth` (only meaningful for encoded
+  /// indices; for simple indices this is a plain SelectSlice).
   BitVector SelectWithinFragmentSlice(DimId dim, Depth depth,
                                       std::int64_t value, Depth fragment_depth,
                                       std::int64_t begin,

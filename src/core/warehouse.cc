@@ -19,7 +19,6 @@ Warehouse::Warehouse(WarehouseConfig config)
     storage::StoreOptions store_options;
     store_options.path = std::move(config.storage_path);
     store_options.pool_pages = config.storage_pool_pages;
-    store_options.backend = config.storage_backend;
     store_options.prefetch = config.storage_prefetch;
     store_options.retry = config.storage_retry;
     store_options.fault_plan = std::move(config.storage_fault);

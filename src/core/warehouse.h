@@ -89,8 +89,6 @@ struct WarehouseConfig {
   /// Buffer-pool capacity in pages shared by all shard segments
   /// (file-backed mode only).
   std::int64_t storage_pool_pages = 4096;
-  /// How segment pages are read off the filesystem.
-  storage::IoBackend storage_backend = storage::IoBackend::kPread;
   /// Read ahead over coalesced unfiltered scan runs (best-effort).
   bool storage_prefetch = true;
   /// How many times the buffer pool retries a failed page load (read

@@ -109,17 +109,6 @@ std::int64_t QueryPlan::GroupOfFragment(FragId id) const {
   return coord / group_desc_per_;
 }
 
-QueryPlan::QueryPlan(const Fragmentation* fragmentation,
-                     std::vector<std::vector<std::int64_t>> slices,
-                     QueryClass query_class, IoClass io_class,
-                     std::vector<PredicateAccess> accesses,
-                     double selectivity,
-                     std::vector<std::vector<bool>> covered, bool coverable,
-                     std::optional<GroupBy> group_by)
-    : QueryPlan(Borrowed(fragmentation), std::move(slices), query_class,
-                io_class, std::move(accesses), selectivity,
-                std::move(covered), coverable, group_by) {}
-
 const std::vector<std::int64_t>& QueryPlan::slice(int i) const {
   MDW_CHECK(i >= 0 && i < static_cast<int>(slices_.size()),
             "slice index out of range");

@@ -76,15 +76,6 @@ class QueryPlan {
             std::vector<std::vector<bool>> covered = {},
             bool coverable = false, std::optional<GroupBy> group_by = {});
 
-  /// Compatibility: borrows a caller-owned fragmentation (no ownership);
-  /// the caller must keep it alive for the plan's lifetime.
-  QueryPlan(const Fragmentation* fragmentation,
-            std::vector<std::vector<std::int64_t>> slices,
-            QueryClass query_class, IoClass io_class,
-            std::vector<PredicateAccess> accesses, double selectivity,
-            std::vector<std::vector<bool>> covered = {},
-            bool coverable = false, std::optional<GroupBy> group_by = {});
-
   const Fragmentation& fragmentation() const { return *fragmentation_; }
   QueryClass query_class() const { return query_class_; }
   IoClass io_class() const { return io_class_; }

@@ -1,7 +1,6 @@
 #include "storage/page_file.h"
 
 #include <fcntl.h>
-#include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -12,14 +11,6 @@
 #include "common/crc32c.h"
 
 namespace mdw::storage {
-
-const char* ToString(IoBackend backend) {
-  switch (backend) {
-    case IoBackend::kPread: return "pread";
-    case IoBackend::kMmap: return "mmap";
-  }
-  return "?";
-}
 
 Status PageFile::VerifyPage(std::int64_t page, const std::byte* data) const {
   const std::int64_t idx = page - checksum_first_page_;
@@ -88,39 +79,9 @@ class PreadPageFile final : public PageFile {
   int fd_;
 };
 
-class MmapPageFile final : public PageFile {
- public:
-  MmapPageFile(std::string path, std::int64_t page_size,
-               std::int64_t page_count, std::uint32_t file_id,
-               const std::byte* map, std::size_t map_len)
-      : PageFile(std::move(path), page_size, page_count, file_id),
-        map_(map),
-        map_len_(map_len) {}
-
-  ~MmapPageFile() override {
-    if (map_ != nullptr) {
-      ::munmap(const_cast<std::byte*>(map_), map_len_);
-    }
-  }
-
-  Status ReadPages(std::int64_t first, std::int64_t count,
-                   std::byte* dst) const override {
-    MDW_CHECK(first >= 0 && count >= 0 && first + count <= page_count(),
-              "page read out of range");
-    std::memcpy(dst, map_ + first * page_size(),
-                static_cast<std::size_t>(count * page_size()));
-    return Status::Ok();
-  }
-
- private:
-  const std::byte* map_;
-  std::size_t map_len_;
-};
-
 }  // namespace
 
-std::unique_ptr<PageFile> PageFile::Open(IoBackend backend,
-                                         const std::string& path,
+std::unique_ptr<PageFile> PageFile::Open(const std::string& path,
                                          std::int64_t page_size,
                                          std::uint32_t file_id) {
   MDW_CHECK(page_size >= 1, "page size must be positive");
@@ -128,22 +89,8 @@ std::unique_ptr<PageFile> PageFile::Open(IoBackend backend,
   MDW_CHECK(size % page_size == 0,
             "segment file length is not a whole number of pages");
   const std::int64_t page_count = size / page_size;
-  if (backend == IoBackend::kPread) {
-    return std::make_unique<PreadPageFile>(path, page_size, page_count,
-                                           file_id, fd);
-  }
-  // Zero-length files cannot be mapped; serve them with a null mapping
-  // (any read is out of range and aborts above anyway).
-  const std::byte* map = nullptr;
-  if (size > 0) {
-    void* m = ::mmap(nullptr, static_cast<std::size_t>(size), PROT_READ,
-                     MAP_PRIVATE, fd, 0);
-    MDW_CHECK(m != MAP_FAILED, "cannot mmap segment file");
-    map = static_cast<const std::byte*>(m);
-  }
-  ::close(fd);  // the mapping survives the descriptor
-  return std::make_unique<MmapPageFile>(path, page_size, page_count, file_id,
-                                        map, static_cast<std::size_t>(size));
+  return std::make_unique<PreadPageFile>(path, page_size, page_count,
+                                         file_id, fd);
 }
 
 }  // namespace mdw::storage

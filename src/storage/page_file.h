@@ -11,14 +11,6 @@
 
 namespace mdw::storage {
 
-/// How a PageFile reads pages off the filesystem.
-enum class IoBackend {
-  kPread,  ///< positional read() per request; the kernel page cache applies
-  kMmap,   ///< the whole file mapped read-only; reads are memcpy
-};
-
-const char* ToString(IoBackend backend);
-
 /// Read-only page-granular access to one segment file. The file length
 /// must be a whole number of pages (enforced at Open). Implementations
 /// are safe for concurrent ReadPages calls — positional reads share no
@@ -37,12 +29,12 @@ class PageFile {
   PageFile(const PageFile&) = delete;
   PageFile& operator=(const PageFile&) = delete;
 
-  /// Opens `path` with the chosen backend; aborts when the file cannot
-  /// be opened or its size is not a multiple of `page_size`. `file_id`
-  /// is the caller-assigned identity used in buffer-pool cache keys and
-  /// must be unique among the files served by one pool.
-  static std::unique_ptr<PageFile> Open(IoBackend backend,
-                                        const std::string& path,
+  /// Opens `path` for positional reads (pread; the kernel page cache
+  /// applies); aborts when the file cannot be opened or its size is not
+  /// a multiple of `page_size`. `file_id` is the caller-assigned
+  /// identity used in buffer-pool cache keys and must be unique among
+  /// the files served by one pool.
+  static std::unique_ptr<PageFile> Open(const std::string& path,
                                         std::int64_t page_size,
                                         std::uint32_t file_id);
 

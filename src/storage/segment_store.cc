@@ -396,15 +396,14 @@ SegmentStore::SegmentStore(const StoreOptions& options,
 
     std::string why;
     const bool reuse =
-        options.reuse_existing &&
         ValidateExisting(path, header, dir.total_pages * page_size_, &why);
     if (!reuse) {
       all_reused = false;
       if (!why.empty() && validation_error_.empty()) validation_error_ = why;
       WriteSegment(input, s, header, path);
     }
-    std::unique_ptr<PageFile> file = PageFile::Open(
-        options.backend, path, page_size_, static_cast<std::uint32_t>(s));
+    std::unique_ptr<PageFile> file =
+        PageFile::Open(path, page_size_, static_cast<std::uint32_t>(s));
     MDW_CHECK(file->page_count() == dir.total_pages,
               "segment file page count does not match its directory");
     if (injector_ != nullptr) file = injector_->Wrap(std::move(file));

@@ -22,13 +22,8 @@ struct StoreOptions {
   std::string path;
   /// Buffer-pool capacity in pages, shared by all shard segments.
   std::int64_t pool_pages = 4096;
-  IoBackend backend = IoBackend::kPread;
   /// Read ahead over coalesced scan runs (best-effort).
   bool prefetch = true;
-  /// Reuse an existing segment whose header matches exactly; any
-  /// mismatch (corruption, truncation, stale format version, different
-  /// dataset) rewrites it.
-  bool reuse_existing = true;
   /// How the buffer pool retries failed page loads before surfacing a
   /// typed error to the query.
   StorageRetryPolicy retry;
@@ -84,11 +79,12 @@ struct Fnv1a {
 ///
 /// Construction writes each shard's segment crash-durably (write to
 /// temp, fsync the temp file, rename into place, fsync the parent
-/// directory), or reuses a byte-identical existing one (see
-/// StoreOptions), then opens every segment behind one shared
-/// BufferPool. All row addressing on the read side is in *global*
-/// clustered row indices; the store maps them to (shard, local page,
-/// offset) internally.
+/// directory), or reuses an existing one whose header matches exactly
+/// (any mismatch — corruption, truncation, stale format version,
+/// different dataset — rewrites it), then opens every segment behind
+/// one shared BufferPool. All row addressing on the read side is in
+/// *global* clustered row indices; the store maps them to (shard, local
+/// page, offset) internally.
 class SegmentStore {
  public:
   /// One fragment's local row range inside its shard's segment.

@@ -1,7 +1,10 @@
 #include "workload/query_parser.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdio>
+#include <optional>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -75,6 +78,16 @@ bool IsInteger(const std::string& token) {
     if (!std::isdigit(static_cast<unsigned char>(c))) return false;
   }
   return true;
+}
+
+/// The value of a token IsInteger accepts, or nullopt when it does not
+/// fit in int64.
+std::optional<std::int64_t> IntegerValue(const std::string& token) {
+  std::int64_t value = 0;
+  const char* end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
 }
 
 Status Err(std::string message) {
@@ -193,9 +206,9 @@ StatusOr<StarQuery> ParseSql(const StarSchema& schema, std::string_view sql) {
           schema.dimension(dim).hierarchy().Cardinality(depth);
       auto read_value = [&]() -> bool {
         if (!IsInteger(lex.token())) return false;
-        const std::int64_t value = std::stoll(lex.token());
-        if (value < 0 || value >= card) return false;
-        predicate.values.push_back(value);
+        const std::optional<std::int64_t> value = IntegerValue(lex.token());
+        if (!value || *value >= card) return false;
+        predicate.values.push_back(*value);
         lex.Advance();
         return true;
       };
@@ -244,13 +257,14 @@ StatusOr<StarQuery> ParseSql(const StarSchema& schema, std::string_view sql) {
     if (!lex.Accept("BY")) return Err("expected BY after ORDER");
     OrderBy ob;
     if (IsInteger(lex.token())) {
-      const std::int64_t position = std::stoll(lex.token());
-      if (position < 1 || position > static_cast<std::int64_t>(items.size())) {
+      const std::optional<std::int64_t> position = IntegerValue(lex.token());
+      if (!position || *position < 1 ||
+          *position > static_cast<std::int64_t>(items.size())) {
         return Err("ORDER BY position " + lex.token() +
                    " is outside the SELECT list (1.." +
                    std::to_string(items.size()) + ")");
       }
-      ob.item = static_cast<int>(position - 1);
+      ob.item = static_cast<int>(*position - 1);
       lex.Advance();
     } else {
       AggItem ref;
@@ -278,7 +292,11 @@ StatusOr<StarQuery> ParseSql(const StarSchema& schema, std::string_view sql) {
         return Err("expected a row count after LIMIT, got '" + lex.token() +
                    "'");
       }
-      ob.limit = std::stoll(lex.token());
+      const std::optional<std::int64_t> limit = IntegerValue(lex.token());
+      if (!limit) {
+        return Err("LIMIT " + lex.token() + " does not fit in 64 bits");
+      }
+      ob.limit = *limit;
       lex.Advance();
       if (ob.limit < 1) return Err("LIMIT must be at least 1");
     }

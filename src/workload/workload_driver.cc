@@ -6,34 +6,9 @@
 
 namespace mdw {
 
-namespace {
-
-WarehouseConfig SimulatedConfigOf(const StarSchema* schema,
-                                  const Fragmentation* fragmentation,
-                                  SimConfig config) {
-  MDW_CHECK(schema != nullptr && fragmentation != nullptr,
-            "driver needs schema and fragmentation");
-  MDW_CHECK(&fragmentation->schema() == schema,
-            "fragmentation must belong to the schema");
-  return WarehouseConfig{.schema = *schema,
-                         .fragmentation = fragmentation->attrs(),
-                         .backend = BackendKind::kSimulated,
-                         .sim = config,
-                         .seed = config.seed};
-}
-
-}  // namespace
-
 WorkloadDriver::WorkloadDriver(Warehouse warehouse, double skew_theta)
     : warehouse_(std::move(warehouse)),
       generator_(&warehouse_.schema(), warehouse_.seed(), skew_theta) {}
-
-WorkloadDriver::WorkloadDriver(const StarSchema* schema,
-                               const Fragmentation* fragmentation,
-                               SimConfig config, double skew_theta)
-    : WorkloadDriver(
-          Warehouse(SimulatedConfigOf(schema, fragmentation, config)),
-          skew_theta) {}
 
 SimResult WorkloadDriver::RunSingleUser(QueryType type, int repetitions) {
   const auto batch = RunBatch(type, repetitions, /*streams=*/1);

@@ -33,11 +33,6 @@ class WorkloadDriver {
   /// from the warehouse seed.
   explicit WorkloadDriver(Warehouse warehouse, double skew_theta = 0.0);
 
-  /// Compatibility: stands up a kSimulated Warehouse over copies of the
-  /// given schema/fragmentation.
-  WorkloadDriver(const StarSchema* schema, const Fragmentation* fragmentation,
-                 SimConfig config, double skew_theta = 0.0);
-
   /// `repetitions` random instances of `type`, run back-to-back; returns
   /// averaged statistics (the paper's "average response time"). Requires a
   /// simulated backend.

@@ -2,10 +2,10 @@
 // LRU pool, pin semantics (pinned frames are never victims; releasing a
 // pin makes the frame evictable again), coalesced prefetch with its
 // pool-flush cap, Reset, data integrity across evictions, concurrent
-// pins of the same and different pages, pread/mmap backend parity, and
-// the failure path: injected read errors and checksum mismatches surface
-// as typed statuses, leave no frame (or pin) behind, retry under the
-// pool's policy, and never poison later reads.
+// pins of the same and different pages, and the failure path: injected
+// read errors and checksum mismatches surface as typed statuses, leave
+// no frame (or pin) behind, retry under the pool's policy, and never
+// poison later reads.
 
 #include <gtest/gtest.h>
 
@@ -92,7 +92,7 @@ std::vector<std::uint32_t> CorrectChecksums(std::int64_t pages) {
 
 TEST(BufferPoolTest, MissThenHitAccounting) {
   TempPageFile tmp(4);
-  auto file = PageFile::Open(IoBackend::kPread, tmp.path(), kPageSize, 0);
+  auto file = PageFile::Open(tmp.path(), kPageSize, 0);
   BufferPool pool(4, kPageSize);
   {
     auto ref = MustPin(pool, *file, 1);
@@ -116,7 +116,7 @@ TEST(BufferPoolTest, MissThenHitAccounting) {
 
 TEST(BufferPoolTest, EvictsLeastRecentlyUsedWhenFull) {
   TempPageFile tmp(8);
-  auto file = PageFile::Open(IoBackend::kPread, tmp.path(), kPageSize, 0);
+  auto file = PageFile::Open(tmp.path(), kPageSize, 0);
   BufferPool pool(2, kPageSize);
   { auto r = MustPin(pool, *file, 0); }
   { auto r = MustPin(pool, *file, 1); }
@@ -129,7 +129,7 @@ TEST(BufferPoolTest, EvictsLeastRecentlyUsedWhenFull) {
 
 TEST(BufferPoolTest, PinnedPagesAreNeverEvicted) {
   TempPageFile tmp(8);
-  auto file = PageFile::Open(IoBackend::kPread, tmp.path(), kPageSize, 0);
+  auto file = PageFile::Open(tmp.path(), kPageSize, 0);
   BufferPool pool(2, kPageSize);
   auto pinned = MustPin(pool, *file, 0);  // held across the churn below
   for (std::int64_t p = 1; p < 8; ++p) {
@@ -143,7 +143,7 @@ TEST(BufferPoolTest, PinnedPagesAreNeverEvicted) {
 
 TEST(BufferPoolTest, ReleasedPinMakesFrameEvictableAgain) {
   TempPageFile tmp(8);
-  auto file = PageFile::Open(IoBackend::kPread, tmp.path(), kPageSize, 0);
+  auto file = PageFile::Open(tmp.path(), kPageSize, 0);
   BufferPool pool(2, kPageSize);
   {
     auto pinned = MustPin(pool, *file, 0);
@@ -156,7 +156,7 @@ TEST(BufferPoolTest, ReleasedPinMakesFrameEvictableAgain) {
 TEST(BufferPoolTest, DataSurvivesEvictionChurn) {
   constexpr std::int64_t kPages = 32;
   TempPageFile tmp(kPages);
-  auto file = PageFile::Open(IoBackend::kPread, tmp.path(), kPageSize, 0);
+  auto file = PageFile::Open(tmp.path(), kPageSize, 0);
   BufferPool pool(4, kPageSize);  // far smaller than the file
   for (int round = 0; round < 3; ++round) {
     for (std::int64_t p = 0; p < kPages; ++p) {
@@ -174,7 +174,7 @@ TEST(BufferPoolTest, DataSurvivesEvictionChurn) {
 
 TEST(BufferPoolTest, PrefetchFaultsRunOnceAndPinsCountAsHits) {
   TempPageFile tmp(32);
-  auto file = PageFile::Open(IoBackend::kPread, tmp.path(), kPageSize, 0);
+  auto file = PageFile::Open(tmp.path(), kPageSize, 0);
   BufferPool pool(64, kPageSize);
   EXPECT_EQ(pool.Prefetch(*file, 0, 8), 8);
   {
@@ -195,7 +195,7 @@ TEST(BufferPoolTest, PrefetchFaultsRunOnceAndPinsCountAsHits) {
 
 TEST(BufferPoolTest, PrefetchRunIsCappedAgainstPoolFlush) {
   TempPageFile tmp(32);
-  auto file = PageFile::Open(IoBackend::kPread, tmp.path(), kPageSize, 0);
+  auto file = PageFile::Open(tmp.path(), kPageSize, 0);
   BufferPool pool(16, kPageSize);
   // Cap is min(64, capacity / 4) = 4 pages per call.
   EXPECT_EQ(pool.Prefetch(*file, 0, 32), 4);
@@ -203,7 +203,7 @@ TEST(BufferPoolTest, PrefetchRunIsCappedAgainstPoolFlush) {
 
 TEST(BufferPoolTest, ResetDropsPagesAndCounters) {
   TempPageFile tmp(8);
-  auto file = PageFile::Open(IoBackend::kPread, tmp.path(), kPageSize, 0);
+  auto file = PageFile::Open(tmp.path(), kPageSize, 0);
   BufferPool pool(4, kPageSize);
   { auto r = MustPin(pool, *file, 0); }
   { auto r = MustPin(pool, *file, 0); }
@@ -217,7 +217,7 @@ TEST(BufferPoolTest, ResetDropsPagesAndCounters) {
 
 TEST(BufferPoolTest, ConcurrentPinsOfTheSamePageCoalesceTheRead) {
   TempPageFile tmp(4);
-  auto file = PageFile::Open(IoBackend::kPread, tmp.path(), kPageSize, 0);
+  auto file = PageFile::Open(tmp.path(), kPageSize, 0);
   BufferPool pool(4, kPageSize);
   constexpr int kThreads = 8;
   std::vector<std::thread> threads;
@@ -242,7 +242,7 @@ TEST(BufferPoolTest, ConcurrentPinsOfTheSamePageCoalesceTheRead) {
 TEST(BufferPoolTest, ConcurrentScansOverSmallPoolStayCorrect) {
   constexpr std::int64_t kPages = 64;
   TempPageFile tmp(kPages);
-  auto file = PageFile::Open(IoBackend::kPread, tmp.path(), kPageSize, 0);
+  auto file = PageFile::Open(tmp.path(), kPageSize, 0);
   BufferPool pool(8, kPageSize);
   constexpr int kThreads = 4;
   std::vector<std::thread> threads;
@@ -265,22 +265,6 @@ TEST(BufferPoolTest, ConcurrentScansOverSmallPoolStayCorrect) {
   EXPECT_EQ(stats.hits + stats.misses, kThreads * kPages);
 }
 
-TEST(BufferPoolTest, MmapBackendReadsTheSameBytes) {
-  TempPageFile tmp(8);
-  auto pread_file =
-      PageFile::Open(IoBackend::kPread, tmp.path(), kPageSize, 0);
-  auto mmap_file = PageFile::Open(IoBackend::kMmap, tmp.path(), kPageSize, 1);
-  EXPECT_EQ(mmap_file->page_count(), pread_file->page_count());
-  BufferPool pool(8, kPageSize);
-  for (std::int64_t p = 0; p < 8; ++p) {
-    auto a = MustPin(pool, *pread_file, p);
-    auto b = MustPin(pool, *mmap_file, p);
-    for (std::int64_t i = 0; i < kValuesPerPage; i += 100) {
-      EXPECT_EQ(ReadValue(a, i), ReadValue(b, i));
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Failure path
 
@@ -290,8 +274,7 @@ TEST(BufferPoolTest, InjectedReadErrorSurfacesTypedAndLeavesPoolClean) {
   plan.scripted.push_back({/*file_id=*/0, /*page=*/2, FaultKind::kEio,
                            /*count=*/1});
   FaultInjector injector(plan);
-  auto file = injector.Wrap(
-      PageFile::Open(IoBackend::kPread, tmp.path(), kPageSize, 0));
+  auto file = injector.Wrap(PageFile::Open(tmp.path(), kPageSize, 0));
   BufferPool pool(4, kPageSize);
 
   // Establish LRU state that must survive the failure untouched.
@@ -329,8 +312,7 @@ TEST(BufferPoolTest, RetryPolicyClearsTransientFault) {
   plan.scripted.push_back({/*file_id=*/0, /*page=*/1, FaultKind::kEio,
                            /*count=*/1});
   FaultInjector injector(plan);
-  auto file = injector.Wrap(
-      PageFile::Open(IoBackend::kPread, tmp.path(), kPageSize, 0));
+  auto file = injector.Wrap(PageFile::Open(tmp.path(), kPageSize, 0));
   BufferPool pool(4, kPageSize,
                   StorageRetryPolicy{/*max_attempts=*/2, /*backoff_us=*/0,
                                      /*backoff_multiplier=*/2.0,
@@ -350,7 +332,7 @@ TEST(BufferPoolTest, RetryPolicyClearsTransientFault) {
 
 TEST(BufferPoolTest, ChecksumMismatchSurfacesAsCorruption) {
   TempPageFile tmp(4);
-  auto file = PageFile::Open(IoBackend::kPread, tmp.path(), kPageSize, 0);
+  auto file = PageFile::Open(tmp.path(), kPageSize, 0);
   std::vector<std::uint32_t> crcs = CorrectChecksums(4);
   crcs[2] ^= 0x1u;  // page 2's stored checksum is wrong (at-rest damage)
   file->AttachChecksums(0, std::move(crcs));
@@ -374,7 +356,7 @@ TEST(BufferPoolTest, ChecksumMismatchSurfacesAsCorruption) {
 
 TEST(BufferPoolTest, PrefetchDropsUnverifiablePagesAndKeepsTheRest) {
   TempPageFile tmp(16);
-  auto file = PageFile::Open(IoBackend::kPread, tmp.path(), kPageSize, 0);
+  auto file = PageFile::Open(tmp.path(), kPageSize, 0);
   std::vector<std::uint32_t> crcs = CorrectChecksums(16);
   crcs[3] ^= 0xFFu;
   file->AttachChecksums(0, std::move(crcs));
@@ -407,8 +389,7 @@ TEST(BufferPoolTest, ConcurrentPinsUnderInjectedFaultsRecover) {
   plan.seed = 42;
   plan.eio_rate = 0.3;
   FaultInjector injector(plan);
-  auto file = injector.Wrap(
-      PageFile::Open(IoBackend::kPread, tmp.path(), kPageSize, 0));
+  auto file = injector.Wrap(PageFile::Open(tmp.path(), kPageSize, 0));
   BufferPool pool(8, kPageSize,
                   StorageRetryPolicy{/*max_attempts=*/4, /*backoff_us=*/0,
                                      /*backoff_multiplier=*/2.0,

@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <tuple>
 #include <vector>
 
@@ -157,11 +158,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, CoverageProperty,
                          });
 
 TEST(CoverageProperty, PlansWithoutCoverageInfoAreAllResidual) {
-  // Hand-built plans (compat constructors) default to no coverage, so
-  // nothing is ever answered from summaries by accident.
+  // Hand-built plans default to no coverage, so nothing is ever
+  // answered from summaries by accident.
   const auto schema = MakeTinyApb1Schema();
-  const Fragmentation frag(&schema, MonthGroup());
-  const QueryPlan plan(&frag, {{3}, {7}}, QueryClass::kQ1,
+  const auto frag =
+      std::make_shared<const Fragmentation>(&schema, MonthGroup());
+  const QueryPlan plan(frag, {{3}, {7}}, QueryClass::kQ1,
                        IoClass::kIoc1Opt, {}, 1.0 / 288);
   EXPECT_FALSE(plan.coverable());
   EXPECT_EQ(plan.CoveredFragmentCount(), 0);

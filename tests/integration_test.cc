@@ -45,22 +45,17 @@ TEST_F(IntegrationTest, Figure4ShapeCpuBoundSpeedup) {
 TEST_F(IntegrationTest, Figure3ShapeDiskBoundSpeedup) {
   // 1STORE response times depend on the number of disks (paper Fig. 3).
   // Keep t*p >= d so all disks can be utilised.
-  WorkloadDriver make_d20(&schema_, &month_group_, [] {
+  const auto driver = [&](int disks, int nodes) {
     SimConfig c;
-    c.num_disks = 20;
-    c.num_nodes = 4;
+    c.num_disks = disks;
+    c.num_nodes = nodes;
     c.tasks_per_node = 5;
-    return c;
-  }());
-  WorkloadDriver make_d60(&schema_, &month_group_, [] {
-    SimConfig c;
-    c.num_disks = 60;
-    c.num_nodes = 12;
-    c.tasks_per_node = 5;
-    return c;
-  }());
-  const auto r20 = make_d20.RunSingleUser(QueryType::k1Store, 1);
-  const auto r60 = make_d60.RunSingleUser(QueryType::k1Store, 1);
+    return WorkloadDriver(Warehouse({.schema = schema_,
+                                     .fragmentation = month_group_.attrs(),
+                                     .sim = c}));
+  };
+  const auto r20 = driver(20, 4).RunSingleUser(QueryType::k1Store, 1);
+  const auto r60 = driver(60, 12).RunSingleUser(QueryType::k1Store, 1);
   // Paper: linear (slightly superlinear) speed-up with disks.
   EXPECT_GT(r20.avg_response_ms / r60.avg_response_ms, 2.5);
 }

@@ -1,7 +1,8 @@
 // File-backed store tests: bit-identical parity of the paged segment
 // store against the in-RAM store across shard and worker counts (facade
 // execution, full scans, bitmap paths, and another clustering), segment
-// reuse and rejection of stale/corrupt/truncated files, the on-disk
+// reuse and rejection of stale/corrupt/truncated files, a typed I/O
+// error when a segment is truncated under the open reader, the on-disk
 // format invariants, query I/O counters against the buffer pool's own
 // accounting (and their per-shard split), service through a pool far
 // smaller than the working set, and pages_read against PagedLayout's
@@ -285,6 +286,28 @@ TEST(PagedStorageTest, TruncatedSegmentIsDetectedAndRewritten) {
   const MiniWarehouse ram = MakeRam(2);
   EXPECT_EQ(ram.ExecuteWithBitmaps(apb1_queries::OneStore(17)),
             second.ExecuteWithBitmaps(apb1_queries::OneStore(17)));
+}
+
+TEST(PagedStorageTest, SegmentTruncatedUnderTheReaderFailsTyped) {
+  // Truncation AFTER the store opened its segments: the reader's real
+  // pread hits EOF inside the file's recorded page range, which must
+  // surface as a typed kIoError on the query, never as a crash.
+  TempDir dir;
+  const Warehouse paged = MakeFacade(2, /*workers=*/1, dir.path());
+  const storage::SegmentStore& store = *paged.materialized()->paged_store();
+  const auto page_size = static_cast<std::uintmax_t>(store.page_size());
+  for (int s = 0; s < store.num_shards(); ++s) {
+    const std::string segment = store.SegmentPath(s);
+    const std::uintmax_t quarter =
+        std::filesystem::file_size(segment) / 4 / page_size * page_size;
+    std::filesystem::resize_file(segment, quarter);
+  }
+  const QueryOutcome outcome = paged.Execute(apb1_queries::OneStore(17));
+  EXPECT_EQ(outcome.status.code(), StatusCode::kIoError)
+      << outcome.status.message();
+  EXPECT_FALSE(outcome.aggregate.has_value());
+  EXPECT_FALSE(outcome.table.has_value());
+  EXPECT_GE(outcome.io_errors, 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "fragment/query_planner.h"
 #include "schema/apb1.h"
 #include "workload/query_parser.h"
@@ -173,6 +176,41 @@ TEST_F(ParserTest, RejectsOutOfRangeValue) {
   const auto error =
       MustFail("SELECT SUM(x) FROM sales WHERE time.month = 24");
   EXPECT_NE(error.find("expected a value in [0, 24)"), std::string::npos);
+}
+
+// A literal past int64 is a typed error naming it, in every position
+// that reads an integer.
+constexpr char kHugeLiteral[] = "99999999999999999999";
+
+void ExpectInvalidNamingHugeLiteral(const StatusOr<StarQuery>& q) {
+  ASSERT_FALSE(q.ok());
+  EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(q.status().message().find(kHugeLiteral), std::string::npos)
+      << q.status().message();
+}
+
+TEST_F(ParserTest, RejectsOverflowingWhereValue) {
+  ExpectInvalidNamingHugeLiteral(ParseSql(
+      schema_,
+      std::string("SELECT SUM(x) FROM sales WHERE time.month = ") +
+          kHugeLiteral));
+}
+
+TEST_F(ParserTest, RejectsOverflowingOrderByPosition) {
+  ExpectInvalidNamingHugeLiteral(ParseSql(
+      schema_,
+      std::string("SELECT SUM(x) FROM sales GROUP BY time.month ORDER BY ") +
+          kHugeLiteral));
+}
+
+TEST_F(ParserTest, RejectsOverflowingLimit) {
+  const std::string prefix =
+      "SELECT SUM(x) FROM sales GROUP BY time.month ORDER BY 1 LIMIT ";
+  ExpectInvalidNamingHugeLiteral(ParseSql(schema_, prefix + kHugeLiteral));
+  // The largest int64 still parses; one more does not.
+  EXPECT_EQ(MustParse(prefix + "9223372036854775807").order_by()->limit,
+            INT64_MAX);
+  MustFail(prefix + "9223372036854775808");
 }
 
 TEST_F(ParserTest, RejectsWrongFactTable) {

@@ -235,21 +235,5 @@ TEST(WarehouseDriverTest, DriverRunsAgainstMaterializedFacade) {
   }
 }
 
-TEST(WarehouseDriverTest, CompatConstructorMatchesFacadeConstruction) {
-  SimConfig sim;
-  sim.num_disks = 20;
-  sim.num_nodes = 4;
-  const auto schema = MakeApb1Schema();
-  const Fragmentation frag(&schema, MonthGroup());
-  WorkloadDriver compat(&schema, &frag, sim);
-  WorkloadDriver facade(Warehouse({.schema = MakeApb1Schema(),
-                                   .fragmentation = MonthGroup(),
-                                   .backend = BackendKind::kSimulated,
-                                   .sim = sim}));
-  const auto a = compat.RunSingleUser(QueryType::k1Group1Store, 3);
-  const auto b = facade.RunSingleUser(QueryType::k1Group1Store, 3);
-  EXPECT_EQ(a.response_ms, b.response_ms);
-}
-
 }  // namespace
 }  // namespace mdw

@@ -8,10 +8,6 @@ namespace {
 
 class WorkloadDriverTest : public ::testing::Test {
  protected:
-  WorkloadDriverTest()
-      : schema_(MakeApb1Schema()),
-        frag_(&schema_, {{kApb1Time, 2}, {kApb1Product, 3}}) {}
-
   SimConfig Config() {
     SimConfig config;
     config.num_disks = 20;
@@ -19,12 +15,16 @@ class WorkloadDriverTest : public ::testing::Test {
     return config;
   }
 
-  StarSchema schema_;
-  Fragmentation frag_;
+  /// A simulated APB-1 warehouse under {time.month, product.group}.
+  Warehouse Simulated(SimConfig config) const {
+    return Warehouse({.schema = MakeApb1Schema(),
+                      .fragmentation = {{kApb1Time, 2}, {kApb1Product, 3}},
+                      .sim = config});
+  }
 };
 
 TEST_F(WorkloadDriverTest, RunsRequestedRepetitions) {
-  WorkloadDriver driver(&schema_, &frag_, Config());
+  WorkloadDriver driver(Simulated(Config()));
   const auto result = driver.RunSingleUser(QueryType::k1Month1Group, 5);
   EXPECT_EQ(result.response_ms.size(), 5u);
   EXPECT_EQ(result.subqueries, 5);  // one fragment per query instance
@@ -33,7 +33,7 @@ TEST_F(WorkloadDriverTest, RunsRequestedRepetitions) {
 TEST_F(WorkloadDriverTest, SingleUserResponsesAreSimilar) {
   // Random parameters change the selected fragment but not the work per
   // query: single-user responses of one type vary little.
-  WorkloadDriver driver(&schema_, &frag_, Config());
+  WorkloadDriver driver(Simulated(Config()));
   const auto result = driver.RunSingleUser(QueryType::k1Month1Group, 5);
   EXPECT_LT(result.max_response_ms, 1.5 * result.min_response_ms);
   EXPECT_GE(result.max_response_ms, result.avg_response_ms);
@@ -41,7 +41,7 @@ TEST_F(WorkloadDriverTest, SingleUserResponsesAreSimilar) {
 }
 
 TEST_F(WorkloadDriverTest, MixRunsAllComponents) {
-  WorkloadDriver driver(&schema_, &frag_, Config());
+  WorkloadDriver driver(Simulated(Config()));
   const auto result = driver.RunMix(
       {{QueryType::k1Month1Group, 3}, {QueryType::k1Code1Month, 2}},
       /*streams=*/2);
@@ -50,8 +50,8 @@ TEST_F(WorkloadDriverTest, MixRunsAllComponents) {
 }
 
 TEST_F(WorkloadDriverTest, DeterministicAcrossInstances) {
-  WorkloadDriver a(&schema_, &frag_, Config());
-  WorkloadDriver b(&schema_, &frag_, Config());
+  WorkloadDriver a(Simulated(Config()));
+  WorkloadDriver b(Simulated(Config()));
   const auto ra = a.RunSingleUser(QueryType::k1Group1Store, 3);
   const auto rb = b.RunSingleUser(QueryType::k1Group1Store, 3);
   EXPECT_EQ(ra.response_ms, rb.response_ms);
@@ -60,8 +60,8 @@ TEST_F(WorkloadDriverTest, DeterministicAcrossInstances) {
 TEST_F(WorkloadDriverTest, SeedChangesParameters) {
   SimConfig other = Config();
   other.seed = 4711;
-  WorkloadDriver a(&schema_, &frag_, Config());
-  WorkloadDriver b(&schema_, &frag_, other);
+  WorkloadDriver a(Simulated(Config()));
+  WorkloadDriver b(Simulated(other));
   const auto ra = a.RunSingleUser(QueryType::k1Code1Month, 4);
   const auto rb = b.RunSingleUser(QueryType::k1Code1Month, 4);
   // Different query parameters land on different fragments/disk positions;
