@@ -1,7 +1,9 @@
 #include "core/mini_warehouse.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <memory>
 #include <utility>
 
 #include "common/check.h"
@@ -11,6 +13,9 @@
 namespace mdw {
 
 namespace {
+
+/// Source of MiniWarehouse::layout_id(): never 0, never reused.
+std::atomic<std::uint64_t> g_next_layout_id{1};
 
 /// Minimum rows per parallel task: below this, task overhead dominates.
 constexpr std::int64_t kMinChunkRows = 4096;
@@ -206,7 +211,8 @@ MiniWarehouse::MiniWarehouse(StarSchema schema, std::uint64_t seed,
                              bool enable_summaries, int num_shards,
                              AllocationConfig allocation,
                              storage::StoreOptions storage)
-    : schema_(std::move(schema)) {
+    : schema_(std::move(schema)),
+      layout_id_(g_next_layout_id.fetch_add(1, std::memory_order_relaxed)) {
   Populate(seed);
   ClusterByFragment(std::move(cluster_attrs), num_shards, allocation);
   // Indices are built AFTER the permutation: bit r of every bitmap refers
@@ -735,20 +741,25 @@ void MiniWarehouse::ExecuteFragments(const StarQuery& query,
     // fragment-major, so per-shard ranges are ascending and disjoint).
     // Fully-covered fragments split off into summary runs answered from
     // the prefix sums; residual fragments keep the range-scan + bitmap
-    // path.
-    const std::vector<ShardSelection> selections = RouteSelectionToShards(
-        plan, num_shards_, use_summaries,
-        [&](FragId id) {
-          return shard_of_frag_[static_cast<std::size_t>(id)];
-        },
-        [&](FragId id) {
-          const auto r = static_cast<std::size_t>(
-              frag_rank_[static_cast<std::size_t>(id)]);
-          return std::pair<std::int64_t, std::int64_t>{frag_offsets_[r],
-                                                       frag_offsets_[r + 1]};
-        });
-    ExecuteSharded(selections, /*first_shard=*/0, accesses, gctx, pool,
-                   options, groups, exec);
+    // path. The routing depends only on the plan and this layout, so the
+    // plan memoizes it: only its first execution here routes.
+    QueryPlan::Route route = plan.MemoizedRoute(layout_id_, use_summaries);
+    if (route == nullptr) {
+      route = std::make_shared<const std::vector<ShardSelection>>(
+          RouteSelectionToShards(
+              plan, num_shards_, use_summaries,
+              [this](FragId id) {
+                return shard_of_frag_[static_cast<std::size_t>(id)];
+              },
+              [this](FragId id) {
+                const auto r = static_cast<std::size_t>(
+                    frag_rank_[static_cast<std::size_t>(id)]);
+                return std::pair{frag_offsets_[r], frag_offsets_[r + 1]};
+              }));
+      plan.MemoizeRoute(layout_id_, use_summaries, route);
+    }
+    ExecuteSharded(*route, /*first_shard=*/0, accesses, gctx, pool, options,
+                   groups, exec);
   }
   if (groups != nullptr) exec->groups = groups->Compact();
   exec->degraded = options.covered_only;

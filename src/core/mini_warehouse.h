@@ -70,7 +70,10 @@ struct ExecOptions {
 /// fragments to their shards and schedules one affinity task per shard
 /// (idle workers steal residual scan chunks from busy shards), merging
 /// shard partials in fixed shard order so the whole MdhfExecution record
-/// stays bit-identical at any worker count and shard count.
+/// stays bit-identical at any worker count and shard count. A plan routes
+/// once per store: the selections of its first multi-fragment execution
+/// are memoized on the plan under this store's layout_id() and reused by
+/// every later execution of the plan or of its copies.
 class MiniWarehouse {
  private:
   /// One resolved bitmap-needing predicate of a plan.
@@ -215,6 +218,10 @@ class MiniWarehouse {
   int ShardOfFragment(FragId id) const;
   /// Contiguous physical row region [begin, end) of shard `s`.
   std::pair<std::int64_t, std::int64_t> ShardRows(int s) const;
+  /// Process-unique id (>= 1) of this store's physical layout, taken at
+  /// construction: the key under which plans memoize their routing
+  /// here (QueryPlan::MemoizedRoute).
+  std::uint64_t layout_id() const { return layout_id_; }
   /// Fragments allocated to shard `s`, ascending — their row ranges tile
   /// the shard's region in this order.
   const std::vector<FragId>& ShardFragments(int s) const;
@@ -421,6 +428,7 @@ class MiniWarehouse {
                       GroupAccum* groups) const;
 
   StarSchema schema_;
+  std::uint64_t layout_id_ = 0;
   std::int64_t row_count_ = 0;
   /// In-RAM columns; emptied (but the store stays authoritative through
   /// store_) in file-backed mode.

@@ -9,6 +9,8 @@ Fragmentation::Fragmentation(const StarSchema* schema,
                              std::vector<FragAttr> attrs)
     : schema_(schema), attrs_(std::move(attrs)) {
   MDW_CHECK(schema_ != nullptr, "fragmentation needs a schema");
+  MDW_CHECK(attrs_.size() <= static_cast<std::size_t>(kMaxAttrs),
+            "too many fragmentation attributes");
   for (std::size_t i = 0; i < attrs_.size(); ++i) {
     const auto& a = attrs_[i];
     MDW_CHECK(a.dim >= 0 && a.dim < schema_->num_dimensions(),

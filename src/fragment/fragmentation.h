@@ -33,6 +33,10 @@ using FragId = std::int64_t;
 /// single fragment (useful as a baseline).
 class Fragmentation {
  public:
+  /// At most this many attributes, so per-attribute state of the hot
+  /// loops (a plan's fragment odometer) fits in fixed stack arrays.
+  static constexpr int kMaxAttrs = 16;
+
   Fragmentation(const StarSchema* schema, std::vector<FragAttr> attrs);
 
   const StarSchema& schema() const { return *schema_; }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <mutex>
 #include <utility>
 
 #include "common/borrowed.h"
@@ -11,10 +12,41 @@ namespace mdw {
 
 namespace {
 std::atomic<std::uint64_t> g_plan_count{0};
+std::atomic<std::uint64_t> g_route_count{0};
 }  // namespace
 
 std::uint64_t QueryPlanner::LifetimePlanCount() {
   return g_plan_count.load(std::memory_order_relaxed);
+}
+
+struct QueryPlan::RouteMemo {
+  std::mutex mu;
+  std::uint64_t layout = 0;  ///< guarded by mu, as are the two below
+  bool summaries = false;
+  Route route;
+};
+
+QueryPlan::Route QueryPlan::MemoizedRoute(std::uint64_t layout,
+                                          bool summaries) const {
+  std::lock_guard<std::mutex> lock(route_memo_->mu);
+  if (route_memo_->layout != layout || route_memo_->summaries != summaries) {
+    return nullptr;
+  }
+  return route_memo_->route;
+}
+
+void QueryPlan::MemoizeRoute(std::uint64_t layout, bool summaries,
+                             Route route) const {
+  MDW_CHECK(route != nullptr, "memoized route must not be null");
+  g_route_count.fetch_add(1, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(route_memo_->mu);
+  route_memo_->layout = layout;
+  route_memo_->summaries = summaries;
+  route_memo_->route = std::move(route);
+}
+
+std::uint64_t QueryPlan::LifetimeRouteCount() {
+  return g_route_count.load(std::memory_order_relaxed);
 }
 
 const char* ToString(QueryClass c) {
@@ -53,7 +85,8 @@ QueryPlan::QueryPlan(std::shared_ptr<const Fragmentation> fragmentation,
       selectivity_(selectivity),
       covered_(std::move(covered)),
       coverable_(coverable),
-      group_by_(group_by) {
+      group_by_(group_by),
+      route_memo_(std::make_shared<RouteMemo>()) {
   MDW_CHECK(fragmentation_ != nullptr, "plan needs a fragmentation");
   MDW_CHECK(static_cast<int>(slices_.size()) == fragmentation_->num_attrs(),
             "one slice per fragmentation attribute");
@@ -163,41 +196,6 @@ std::int64_t QueryPlan::CoveredFragmentCount() const {
         std::count(flags.begin(), flags.end(), true));
   }
   return count;
-}
-
-void QueryPlan::ForEachFragment(
-    const std::function<void(FragId)>& fn) const {
-  ForEachFragment([&fn](FragId id, bool /*covered*/) { fn(id); });
-}
-
-void QueryPlan::ForEachFragment(
-    const std::function<void(FragId, bool)>& fn) const {
-  const int n = fragmentation_->num_attrs();
-  if (n == 0) {
-    fn(0, coverable_);
-    return;
-  }
-  // Mixed-radix odometer over the slices, producing ascending fragment ids
-  // because slices are sorted and later attributes vary fastest.
-  std::vector<std::size_t> cursor(static_cast<std::size_t>(n), 0);
-  std::vector<std::int64_t> coords(static_cast<std::size_t>(n));
-  while (true) {
-    bool covered = coverable_;
-    for (int i = 0; i < n; ++i) {
-      const auto u = static_cast<std::size_t>(i);
-      coords[u] = slices_[u][cursor[u]];
-      covered = covered && covered_[u][cursor[u]];
-    }
-    fn(fragmentation_->FragmentIdOf(coords), covered);
-    int i = n - 1;
-    while (i >= 0) {
-      auto& c = cursor[static_cast<std::size_t>(i)];
-      if (++c < slices_[static_cast<std::size_t>(i)].size()) break;
-      c = 0;
-      --i;
-    }
-    if (i < 0) break;
-  }
 }
 
 std::vector<FragId> QueryPlan::MaterializeFragments(std::int64_t cap) const {

@@ -1,16 +1,21 @@
 #ifndef MDW_FRAGMENT_QUERY_PLANNER_H_
 #define MDW_FRAGMENT_QUERY_PLANNER_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "common/check.h"
 #include "fragment/fragmentation.h"
 #include "fragment/star_query.h"
 
 namespace mdw {
+
+struct ShardSelection;  // fragment/shard_routing.h
 
 /// The paper's four basic query types with respect to a fragmentation F
 /// (Sec. 4.2), plus the unsupported case.
@@ -136,20 +141,43 @@ class QueryPlan {
   std::int64_t GroupOfFragment(FragId id) const;
 
   /// Enumerates the fragment ids to process, in allocation order
-  /// (ascending id).
-  void ForEachFragment(const std::function<void(FragId)>& fn) const;
-
-  /// Like above, additionally reporting whether each fragment is fully
-  /// covered (answerable without touching its rows).
-  void ForEachFragment(
-      const std::function<void(FragId, bool covered)>& fn) const;
+  /// (ascending id), calling `fn(id)` — or `fn(id, covered)` when `fn`
+  /// takes two arguments, additionally reporting whether the fragment is
+  /// fully covered (answerable without touching its rows).
+  template <typename Fn>
+  void ForEachFragment(Fn&& fn) const;
 
   /// Materialises the fragment ids; aborts if more than `cap` fragments
   /// (guard against accidentally exploding cross products).
   std::vector<FragId> MaterializeFragments(
       std::int64_t cap = 1'000'000) const;
 
+  /// ---- Routing memo ----
+  ///
+  /// On one store layout a plan's fragments route to the same shard
+  /// selections on every execution, so the plan carries one memo slot
+  /// for them. The slot is created with the plan and shared by all its
+  /// copies, so the copies Warehouse::ExecuteBatch and Serve make of a
+  /// cached plan hit it too. Its key is the executing store's
+  /// process-unique layout id plus whether summary runs were split off;
+  /// publishing under another key replaces the entry.
+
+  /// Routed selections, index = shard; immutable once published.
+  using Route = std::shared_ptr<const std::vector<ShardSelection>>;
+  /// The selections memoized for (layout, summaries), or nullptr.
+  Route MemoizedRoute(std::uint64_t layout, bool summaries) const;
+  /// Publishes the complete `route` for (layout, summaries). Thread-safe:
+  /// a concurrent MemoizedRoute sees the previous entry or this one,
+  /// never a partial one.
+  void MemoizeRoute(std::uint64_t layout, bool summaries, Route route) const;
+  /// Process-wide number of MemoizeRoute() calls, i.e. executions that
+  /// missed the memo and routed; tests assert on deltas of this counter,
+  /// like QueryPlanner::LifetimePlanCount().
+  static std::uint64_t LifetimeRouteCount();
+
  private:
+  struct RouteMemo;
+
   std::shared_ptr<const Fragmentation> fragmentation_;
   std::vector<std::vector<std::int64_t>> slices_;
   QueryClass query_class_;
@@ -168,7 +196,58 @@ class QueryPlan {
   /// the fragmentation depth.
   std::int64_t group_suffix_ = 1;
   std::int64_t group_desc_per_ = 1;
+  /// Never null; shared by copies of the plan.
+  std::shared_ptr<RouteMemo> route_memo_;
 };
+
+template <typename Fn>
+void QueryPlan::ForEachFragment(Fn&& fn) const {
+  constexpr bool kWithCoverage = std::is_invocable_v<Fn&, FragId, bool>;
+  static_assert(kWithCoverage || std::is_invocable_v<Fn&, FragId>,
+                "ForEachFragment needs fn(FragId) or fn(FragId, bool)");
+  const auto emit = [&fn](FragId id, bool covered) {
+    if constexpr (kWithCoverage) {
+      fn(id, covered);
+    } else {
+      fn(id);
+    }
+  };
+  const int n = fragmentation_->num_attrs();
+  if (n == 0) {
+    emit(0, coverable_);
+    return;
+  }
+  // Mixed-radix odometer over the slices, producing ascending fragment ids
+  // because slices are sorted and later attributes vary fastest. Its state
+  // lives on the stack (Fragmentation bounds the attribute count).
+  std::array<std::size_t, Fragmentation::kMaxAttrs> cursor{};
+  std::array<std::int64_t, Fragmentation::kMaxAttrs> card{};
+  for (int i = 0; i < n; ++i) {
+    const auto u = static_cast<std::size_t>(i);
+    if (slices_[u].empty()) return;  // an empty slice selects nothing
+    card[u] = fragmentation_->CardOf(i);
+  }
+  while (true) {
+    FragId id = 0;
+    bool covered = coverable_;
+    for (std::size_t u = 0; u < static_cast<std::size_t>(n); ++u) {
+      const std::int64_t c = slices_[u][cursor[u]];
+      MDW_CHECK(c >= 0 && c < card[u],
+                "coordinate out of range");  // as FragmentIdOf enforces
+      id = id * card[u] + c;
+      covered = covered && covered_[u][cursor[u]];
+    }
+    emit(id, covered);
+    int i = n - 1;
+    while (i >= 0) {
+      auto& c = cursor[static_cast<std::size_t>(i)];
+      if (++c < slices_[static_cast<std::size_t>(i)].size()) break;
+      c = 0;
+      --i;
+    }
+    if (i < 0) break;
+  }
+}
 
 /// Derives QueryPlans from StarQueries for a fixed fragmentation,
 /// implementing Sec. 4.2 (query classes), Sec. 4.3 step 1-2 (fragment set

@@ -104,7 +104,7 @@ std::int64_t Hierarchy::DecodeLeaf(std::uint64_t pattern) const {
   return value;
 }
 
-Depth Hierarchy::DepthOf(const std::string& name) const {
+Depth Hierarchy::DepthOf(std::string_view name) const {
   for (Depth d = 0; d < num_levels(); ++d) {
     if (levels_[static_cast<std::size_t>(d)].name == name) return d;
   }

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -85,7 +86,7 @@ class Hierarchy {
   std::int64_t DecodeLeaf(std::uint64_t pattern) const;
 
   /// Depth of the level named `name`, or -1 if absent.
-  Depth DepthOf(const std::string& name) const;
+  Depth DepthOf(std::string_view name) const;
 
  private:
   std::vector<HierarchyLevel> levels_;

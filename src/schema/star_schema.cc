@@ -21,7 +21,7 @@ const Dimension& StarSchema::dimension(DimId id) const {
   return dimensions_[static_cast<std::size_t>(id)];
 }
 
-DimId StarSchema::DimensionIdOf(const std::string& name) const {
+DimId StarSchema::DimensionIdOf(std::string_view name) const {
   for (DimId id = 0; id < num_dimensions(); ++id) {
     if (dimensions_[static_cast<std::size_t>(id)].name() == name) return id;
   }

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "schema/dimension.h"
@@ -40,7 +41,7 @@ class StarSchema {
   const PhysicalParams& physical() const { return physical_; }
 
   /// DimId of the dimension named `name`, or -1.
-  DimId DimensionIdOf(const std::string& name) const;
+  DimId DimensionIdOf(std::string_view name) const;
 
   /// Product of the leaf cardinalities (maximal number of fact rows).
   std::int64_t MaxFactCount() const;

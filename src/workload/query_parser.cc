@@ -1,9 +1,8 @@
 #include "workload/query_parser.h"
 
-#include <cctype>
 #include <charconv>
-#include <cstdio>
 #include <optional>
+#include <string>
 #include <system_error>
 #include <utility>
 #include <vector>
@@ -12,77 +11,80 @@ namespace mdw {
 
 namespace {
 
+/// ASCII character classes (the C locale's): the dialect is ASCII, so a
+/// host program's setlocale() cannot change what parses.
+bool IsSpace(char c) {
+  return c == ' ' || (c >= '\t' && c <= '\r');  // \t \n \v \f \r
+}
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+bool IsAlpha(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
+}
+char FoldCase(char c) {
+  return c >= 'A' && c <= 'Z' ? static_cast<char>(c - 'A' + 'a') : c;
+}
+
 /// Token stream over the SQL text: identifiers/keywords, integers, and
-/// single-character punctuation ( ) , . = *.
+/// single-character punctuation ( ) , . = *. A token is a view into the
+/// text, so lexing allocates nothing.
 class Lexer {
  public:
   explicit Lexer(std::string_view text) : text_(text) { Advance(); }
 
-  const std::string& token() const { return token_; }
+  std::string_view token() const { return token_; }
   bool at_end() const { return token_.empty(); }
 
   /// Case-insensitive keyword/identifier comparison.
-  bool Is(const std::string& expected) const {
+  bool Is(std::string_view expected) const {
     if (token_.size() != expected.size()) return false;
     for (std::size_t i = 0; i < token_.size(); ++i) {
-      if (std::tolower(static_cast<unsigned char>(token_[i])) !=
-          std::tolower(static_cast<unsigned char>(expected[i]))) {
-        return false;
-      }
+      if (FoldCase(token_[i]) != FoldCase(expected[i])) return false;
     }
     return true;
   }
 
   /// Consumes the current token if it matches.
-  bool Accept(const std::string& expected) {
+  bool Accept(std::string_view expected) {
     if (!Is(expected)) return false;
     Advance();
     return true;
   }
 
   void Advance() {
-    token_.clear();
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_]))) {
-      ++pos_;
-    }
-    if (pos_ == text_.size()) return;
-    const char c = text_[pos_];
-    if (std::isalpha(static_cast<unsigned char>(c)) || c == '_') {
-      while (pos_ < text_.size() &&
-             (std::isalnum(static_cast<unsigned char>(text_[pos_])) ||
-              text_[pos_] == '_')) {
-        token_.push_back(text_[pos_++]);
+    while (pos_ < text_.size() && IsSpace(text_[pos_])) ++pos_;
+    const std::size_t start = pos_;
+    if (pos_ < text_.size()) {
+      const char c = text_[pos_++];
+      if (IsAlpha(c) || c == '_') {
+        while (pos_ < text_.size() &&
+               (IsAlpha(text_[pos_]) || IsDigit(text_[pos_]) ||
+                text_[pos_] == '_')) {
+          ++pos_;
+        }
+      } else if (IsDigit(c)) {
+        while (pos_ < text_.size() && IsDigit(text_[pos_])) ++pos_;
       }
-      return;
     }
-    if (std::isdigit(static_cast<unsigned char>(c))) {
-      while (pos_ < text_.size() &&
-             std::isdigit(static_cast<unsigned char>(text_[pos_]))) {
-        token_.push_back(text_[pos_++]);
-      }
-      return;
-    }
-    token_.push_back(text_[pos_++]);
+    token_ = text_.substr(start, pos_ - start);
   }
 
  private:
   std::string_view text_;
   std::size_t pos_ = 0;
-  std::string token_;
+  std::string_view token_;
 };
 
-bool IsInteger(const std::string& token) {
+bool IsInteger(std::string_view token) {
   if (token.empty()) return false;
   for (const char c : token) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) return false;
+    if (!IsDigit(c)) return false;
   }
   return true;
 }
 
 /// The value of a token IsInteger accepts, or nullopt when it does not
 /// fit in int64.
-std::optional<std::int64_t> IntegerValue(const std::string& token) {
+std::optional<std::int64_t> IntegerValue(std::string_view token) {
   std::int64_t value = 0;
   const char* end = token.data() + token.size();
   const auto [ptr, ec] = std::from_chars(token.data(), end, value);
@@ -108,9 +110,8 @@ bool ParseAggExpr(Lexer& lex, AggItem* out, std::string* error) {
     *error = "MIN/MAX aggregates are not supported (use SUM, COUNT, AVG)";
     return false;
   } else {
-    *error =
-        "expected aggregate or * in the SELECT list, got '" + lex.token() +
-        "'";
+    *error = "expected aggregate or * in the SELECT list, got '" +
+             std::string(lex.token()) + "'";
     return false;
   }
   lex.Advance();
@@ -141,16 +142,18 @@ bool ParseAggExpr(Lexer& lex, AggItem* out, std::string* error) {
 /// Parses <dimension> . <level> against the schema into (dim, depth).
 Status ParseAttribute(const StarSchema& schema, Lexer& lex, DimId* dim,
                       Depth* depth) {
-  const std::string dim_name = lex.token();
+  const std::string_view dim_name = lex.token();
   *dim = schema.DimensionIdOf(dim_name);
-  if (*dim < 0) return Err("unknown dimension '" + dim_name + "'");
+  if (*dim < 0) {
+    return Err("unknown dimension '" + std::string(dim_name) + "'");
+  }
   lex.Advance();
   if (!lex.Accept(".")) return Err("expected . after dimension name");
-  const std::string level_name = lex.token();
+  const std::string_view level_name = lex.token();
   *depth = schema.dimension(*dim).hierarchy().DepthOf(level_name);
   if (*depth < 0) {
-    return Err("unknown level '" + level_name + "' of dimension '" +
-               dim_name + "'");
+    return Err("unknown level '" + std::string(level_name) +
+               "' of dimension '" + std::string(dim_name) + "'");
   }
   lex.Advance();
   return Status::Ok();
@@ -185,8 +188,8 @@ StatusOr<StarQuery> ParseSql(const StarSchema& schema, std::string_view sql) {
   // ---- FROM ----
   if (!lex.Accept("FROM")) return Err("expected FROM");
   if (!lex.Is(schema.fact_table_name())) {
-    return Err("unknown fact table '" + lex.token() + "' (expected '" +
-               schema.fact_table_name() + "')");
+    return Err("unknown fact table '" + std::string(lex.token()) +
+               "' (expected '" + schema.fact_table_name() + "')");
   }
   lex.Advance();
 
@@ -215,14 +218,15 @@ StatusOr<StarQuery> ParseSql(const StarSchema& schema, std::string_view sql) {
       if (lex.Accept("=")) {
         if (!read_value()) {
           return Err("expected a value in [0, " + std::to_string(card) +
-                     ") after =, got '" + lex.token() + "'");
+                     ") after =, got '" + std::string(lex.token()) + "'");
         }
       } else if (lex.Accept("IN")) {
         if (!lex.Accept("(")) return Err("expected ( after IN");
         do {
           if (!read_value()) {
             return Err("expected a value in [0, " + std::to_string(card) +
-                       ") in the IN list, got '" + lex.token() + "'");
+                       ") in the IN list, got '" + std::string(lex.token()) +
+                       "'");
           }
         } while (lex.Accept(","));
         if (!lex.Accept(")")) return Err("expected ) closing the IN list");
@@ -260,7 +264,7 @@ StatusOr<StarQuery> ParseSql(const StarSchema& schema, std::string_view sql) {
       const std::optional<std::int64_t> position = IntegerValue(lex.token());
       if (!position || *position < 1 ||
           *position > static_cast<std::int64_t>(items.size())) {
-        return Err("ORDER BY position " + lex.token() +
+        return Err("ORDER BY position " + std::string(lex.token()) +
                    " is outside the SELECT list (1.." +
                    std::to_string(items.size()) + ")");
       }
@@ -289,12 +293,13 @@ StatusOr<StarQuery> ParseSql(const StarSchema& schema, std::string_view sql) {
     }
     if (lex.Accept("LIMIT")) {
       if (!IsInteger(lex.token())) {
-        return Err("expected a row count after LIMIT, got '" + lex.token() +
-                   "'");
+        return Err("expected a row count after LIMIT, got '" +
+                   std::string(lex.token()) + "'");
       }
       const std::optional<std::int64_t> limit = IntegerValue(lex.token());
       if (!limit) {
-        return Err("LIMIT " + lex.token() + " does not fit in 64 bits");
+        return Err("LIMIT " + std::string(lex.token()) +
+                   " does not fit in 64 bits");
       }
       ob.limit = *limit;
       lex.Advance();
@@ -304,7 +309,8 @@ StatusOr<StarQuery> ParseSql(const StarSchema& schema, std::string_view sql) {
   }
 
   if (!lex.at_end()) {
-    return Err("unexpected trailing input at '" + lex.token() + "'");
+    return Err("unexpected trailing input at '" + std::string(lex.token()) +
+               "'");
   }
   return StarQuery("parsed", std::move(predicates), AggregateSpec{items},
                    group_by, order_by);

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <string>
 
+#include "fragment/plan_cache.h"
 #include "fragment/query_planner.h"
 #include "schema/apb1.h"
 #include "workload/query_parser.h"
@@ -240,6 +241,128 @@ TEST_F(ParserTest, RejectsMalformedSyntax) {
   MustFail("SELECT SUM(x) FROM sales WHERE time.month 1");
   MustFail("SELECT SUM(x) FROM sales WHERE time.month IN 1");
   MustFail("SELECT SUM(x) FROM sales WHERE time.month IN (1, )");
+}
+
+// The lexer keeps every parse and every message. The expected strings
+// were produced by ParseSql with the previous lexer, which built a
+// std::string per token and classified characters through <cctype>; the
+// string_view lexer must reproduce them byte for byte. A valid statement
+// pins its CanonicalQuerySignature plus ORDER BY and LIMIT; an invalid
+// one its exact diagnostic.
+struct LexCase {
+  const char* sql;
+  bool ok;
+  const char* expected;
+};
+
+std::string Describe(const StarQuery& q) {
+  std::string d = CanonicalQuerySignature(q);
+  if (q.order_by().has_value()) {
+    d += " order=" + std::to_string(q.order_by()->item) +
+         (q.order_by()->descending ? " desc" : " asc") +
+         " limit=" + std::to_string(q.order_by()->limit);
+  }
+  return d;
+}
+
+TEST_F(ParserTest, LexerKeepsEveryParseAndMessage) {
+  const LexCase cases[] = {
+      {"SELECT SUM(UnitsSold), SUM(DollarSales) FROM sales WHERE "
+       "time.month = 3 AND product.group = 41",
+       true, "d0@3:41,;d3@2:3,;|a0.0,0.1,"},
+      {"select sum(dollarsales) from SALES where time.month = 3",
+       true, "d3@2:3,;|a0.1,"},
+      {"SeLeCt CoUnT(*), aVg(DOLLARSALES) FrOm SaLeS wHeRe customer.store "
+       "= 17 GrOuP bY time.quarter OrDeR bY 2 dEsC lImIt 3",
+       true, "d1@1:17,;|a1.0,2.1,|g3@1 order=1 desc limit=3"},
+      {"SELECT\tSUM(UnitsSold)\nFROM\tsales\r\nWHERE\ttime.month\n=\n5\n",
+       true, "d3@2:5,;|a0.0,"},
+      {"  SELECT SUM(UnitsSold) FROM sales  ",
+       true, "|a0.0,"},
+      {"SELECT SUM(units_sold_2), AVG(_x9) FROM sales WHERE product.code "
+       "= 30",
+       true, "d0@5:30,;|a0.0,2.0,"},
+      {"SELECT SUM(x) FROM sales WHERE product.code IN (30, 1, 30, 959) "
+       "AND channel.channel = 2",
+       true, "d0@5:1,30,30,959,;d2@0:2,;|a0.0,"},
+      {"SELECT SUM(x) FROM sales WHERE time.month IN(0,1,2)AND "
+       "customer.retailer IN (3)",
+       true, "d1@0:3,;d3@2:0,1,2,;|a0.0,"},
+      {"SELECT * FROM sales",
+       true, "|a0.0,0.1,"},
+      {"SELECT *, COUNT(*) FROM sales WHERE time.month = 007",
+       true, "d3@2:7,;|a0.0,0.1,1.0,"},
+      {"SELECT SUM(UnitsSold), SUM(DollarSales) FROM sales GROUP BY "
+       "product.family ORDER BY SUM(DollarSales) DESC LIMIT 5",
+       true, "|a0.0,0.1,|g0@2 order=1 desc limit=5"},
+      {"SELECT COUNT(*), AVG(UnitsSold) FROM sales WHERE time.year = 1 "
+       "GROUP BY customer.store ORDER BY avg(unitssold) ASC",
+       true, "d3@0:1,;|a1.0,2.0,|g1@1 order=1 asc limit=0"},
+      {"SELECT COUNT(UnitsSold) FROM sales ORDER BY count(*) LIMIT "
+       "9223372036854775807",
+       true, "|a1.0, order=0 asc limit=9223372036854775807"},
+      {"",
+       false, "expected SELECT"},
+      {"SELECT SUM(x) FROM sales WHERE supplier.name = 1",
+       false, "unknown dimension 'supplier'"},
+      {"SELECT SUM(x) FROM sales WHERE TIME.month = 1",
+       false, "unknown dimension 'TIME'"},
+      {"SELECT SUM(x) FROM sales GROUP BY time.week_2",
+       false, "unknown level 'week_2' of dimension 'time'"},
+      {"SELECT SUM(x) FROM orders_2024",
+       false, "unknown fact table 'orders_2024' (expected 'sales')"},
+      {"SELECT SUM(x) FROM sales WHERE time.month = 24",
+       false, "expected a value in [0, 24) after =, got '24'"},
+      {"SELECT SUM(x) FROM sales WHERE time.month IN (1, 24)",
+       false, "expected a value in [0, 24) in the IN list, got '24'"},
+      {"SELECT SUM(x) FROM sales WHERE time.month = 99999999999999999999",
+       false, "expected a value in [0, 24) after =, got "
+       "'99999999999999999999'"},
+      {"SELECT SUM(x) FROM sales WHERE time.month = -1",
+       false, "expected a value in [0, 24) after =, got '-'"},
+      {"SELECT SUM(x) FROM sales GROUP BY time.month ORDER BY 0",
+       false, "ORDER BY position 0 is outside the SELECT list (1..1)"},
+      {"SELECT SUM(x), COUNT(*) FROM sales GROUP BY time.month ORDER BY 3",
+       false, "ORDER BY position 3 is outside the SELECT list (1..2)"},
+      {"SELECT SUM(x) FROM sales ORDER BY AVG(x)",
+       false, "ORDER BY aggregate is not in the SELECT list"},
+      {"SELECT SUM(x) FROM sales GROUP BY time.month ORDER BY 1 LIMIT 0",
+       false, "LIMIT must be at least 1"},
+      {"SELECT SUM(x) FROM sales GROUP BY time.month ORDER BY 1 LIMIT "
+       "99999999999999999999",
+       false, "LIMIT 99999999999999999999 does not fit in 64 bits"},
+      {"SELECT SUM(x) FROM sales WHERE time.month = 1 EXTRA",
+       false, "unexpected trailing input at 'EXTRA'"},
+      {"SELECT SUM(x) FROM sales LIMIT 3",
+       false, "unexpected trailing input at 'LIMIT'"},
+      {"SELECT SUM(x) FROM sales WHERE time.month = 1 ;",
+       false, "unexpected trailing input at ';'"},
+      {"SELECT SUM(x) FROM sales WHERE time.month = 1 \xc3\xa9",
+       false, "unexpected trailing input at '\xc3'"},
+      {"SELECT MIN(x) FROM sales",
+       false, "MIN/MAX aggregates are not supported (use SUM, COUNT, AVG)"},
+      {"SELECT SUM(x FROM sales",
+       false, "expected ) closing the aggregate"},
+      {"SELECT SUM(x) FROM sales WHERE time month = 1",
+       false, "expected . after dimension name"},
+      {"SELECT SUM(x) FROM sales WHERE time.month IN 1",
+       false, "expected ( after IN"},
+      {"SELECT SUM(x) FROM sales WHERE time.month = 1 AND time.year = 0",
+       false, "duplicate predicate on dimension 'time'"},
+      {"SELECT SUM(x) FROM sales GROUP product.group",
+       false, "expected BY after GROUP"},
+  };
+  for (const LexCase& c : cases) {
+    SCOPED_TRACE(c.sql);
+    const StatusOr<StarQuery> q = ParseSql(schema_, c.sql);
+    ASSERT_EQ(q.ok(), c.ok) << q.status().message();
+    if (q.ok()) {
+      EXPECT_EQ(Describe(*q), c.expected);
+    } else {
+      EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_EQ(q.status().message(), c.expected);
+    }
+  }
 }
 
 TEST_F(ParserTest, WorksOnTinySchema) {

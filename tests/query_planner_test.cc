@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "fragment/query_planner.h"
 #include "schema/apb1.h"
@@ -182,6 +185,43 @@ TEST_F(PlannerTest, ForEachFragmentAscendingAllocationOrder) {
     EXPECT_GT(id, previous);
     previous = id;
   });
+}
+
+TEST_F(PlannerTest, ForEachFragmentWalksTheSliceCrossProduct) {
+  // Classes 2 and 3 fill group 1 (covered); class 82 is half of group 41
+  // (residual); the quarter covers its three months. Every (month,
+  // group) pair comes out once, as FragmentIdOf numbers it, covered iff
+  // both coordinates are.
+  const StarQuery q("MIXED", {{kApb1Product, 4, {2, 3, 82}},
+                              {kApb1Time, 1, {1}}});
+  const auto plan = planner_.Plan(q);
+  std::vector<std::pair<FragId, bool>> expected;
+  for (std::size_t m = 0; m < plan.slice(0).size(); ++m) {
+    for (std::size_t g = 0; g < plan.slice(1).size(); ++g) {
+      expected.emplace_back(
+          month_group_.FragmentIdOf({plan.slice(0)[m], plan.slice(1)[g]}),
+          plan.coverable() && plan.covered(0)[m] && plan.covered(1)[g]);
+    }
+  }
+  std::vector<std::pair<FragId, bool>> walked;
+  plan.ForEachFragment(
+      [&walked](FragId id, bool covered) { walked.emplace_back(id, covered); });
+  EXPECT_EQ(walked, expected);
+  EXPECT_EQ(static_cast<std::int64_t>(walked.size()), plan.FragmentCount());
+  std::int64_t covered = 0;
+  for (const auto& [id, c] : walked) covered += c ? 1 : 0;
+  EXPECT_EQ(covered, plan.CoveredFragmentCount());
+  EXPECT_GT(covered, 0);
+  EXPECT_LT(covered, plan.FragmentCount());
+}
+
+TEST_F(PlannerTest, EmptySliceSelectsNoFragment) {
+  const auto frag = std::make_shared<const Fragmentation>(
+      &schema_, std::vector<FragAttr>{{kApb1Time, 2}, {kApb1Product, 3}});
+  const QueryPlan plan(frag, {{3, 4}, {}}, QueryClass::kQ1, IoClass::kIoc1,
+                       {}, 0.0);
+  EXPECT_EQ(plan.FragmentCount(), 0);
+  EXPECT_TRUE(plan.MaterializeFragments().empty());
 }
 
 TEST_F(PlannerTest, ChannelPredicateUsesSimpleIndexOneBitmap) {
