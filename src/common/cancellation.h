@@ -27,8 +27,6 @@ class DeadlineClock {
   /// Manually advanced clock starting at 0 microseconds.
   static DeadlineClock Virtual();
 
-  bool is_virtual() const { return vnow_ != nullptr; }
-
   /// Microseconds on this clock: monotonic process time (steady mode)
   /// or the advanced counter (virtual mode).
   std::int64_t NowMicros() const;

@@ -46,6 +46,10 @@ class LruCache {
     return &it->second->value;
   }
 
+  /// Takes back the miss a Get() just counted, for a caller that gave
+  /// up on the absent key instead of inserting it.
+  void UncountMiss() { --misses_; }
+
   /// Value of `key` without touching recency or counters; nullptr when
   /// absent.
   Value* Peek(const Key& key) {

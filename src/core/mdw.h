@@ -6,10 +6,11 @@
 /// Stöhr/Märtens/Rahm, VLDB 2000.
 ///
 /// Typical usage goes through the mdw::Warehouse façade, which owns the
-/// schema, fragmentation, plan cache, and execution backend behind one
-/// value-semantic entry point. Execution is plan-first: each query is
-/// planned once (or served from the cache) and the backend never
-/// re-plans — see docs/ARCHITECTURE.md for the full flow.
+/// schema, fragmentation, plan cache, and one engine (the materialised
+/// MiniWarehouse or the SIMPAD Simulator) behind one value-semantic entry
+/// point. Execution is plan-first: each query is planned once (or served
+/// from the cache) and the engine never re-plans — see
+/// docs/ARCHITECTURE.md for the full flow.
 ///   #include "core/mdw.h"
 ///   mdw::Warehouse wh({.schema = mdw::MakeApb1Schema(),
 ///                      .fragmentation = {{mdw::kApb1Time, 2},
@@ -22,7 +23,7 @@
 ///   auto stats = wh.plan_cache_stats();  // hits=1 misses=1
 /// Swap `.backend` for BackendKind::kMaterialized (with a small schema,
 /// e.g. MakeTinyApb1Schema()) to execute against materialised facts and
-/// read functional aggregates from outcome.aggregate. Set
+/// read the functional result from outcome.table. Set
 /// WarehouseConfig::plan_cache_capacity = 0 to plan afresh every call.
 ///
 /// The individual layers (Fragmentation, QueryPlanner, Simulator,
@@ -34,7 +35,6 @@
 #include "bitmap/compressed_bitvector.h"
 #include "bitmap/index_set.h"
 #include "core/advisor.h"
-#include "core/execution_backend.h"
 #include "core/mini_warehouse.h"
 #include "core/paged_layout.h"
 #include "core/result_table.h"

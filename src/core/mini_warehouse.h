@@ -279,7 +279,7 @@ class MiniWarehouse {
   /// worker counts: with more than one worker, which chunk faults a
   /// shared boundary page first depends on scheduling (serial execution
   /// is deterministic).
-  struct ExecStats : storage::SegmentStore::IoCounters {
+  struct ExecStats : storage::IoCounters {
     std::int64_t fragments_processed = 0;
     std::int64_t fragments_summarized = 0;
     std::int64_t rows_scanned = 0;

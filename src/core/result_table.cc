@@ -47,14 +47,6 @@ double ResultTable::Value(int i, int item) const {
   return sum;
 }
 
-std::int64_t ResultTable::MeasureSum(int i, int item) const {
-  MDW_CHECK(i >= 0 && i < static_cast<int>(rows.size()),
-            "ResultTable row out of range");
-  MDW_CHECK(item >= 0 && item < static_cast<int>(spec.items.size()),
-            "ResultTable item out of range");
-  return SumOf(rows[i], spec.items[item]);
-}
-
 ResultTable MakeResultTable(AggregateSpec spec, std::optional<GroupBy> group_by,
                             std::optional<OrderBy> order_by,
                             std::vector<GroupRow> rows) {

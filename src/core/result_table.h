@@ -44,10 +44,6 @@ struct ResultTable {
   /// ties and AVG comparisons are decided in exact integer arithmetic.
   double Value(int i, int item) const;
 
-  /// The exact integer measure sum item `item` reads in row `i`
-  /// (row count for COUNT).
-  std::int64_t MeasureSum(int i, int item) const;
-
   friend bool operator==(const ResultTable& a, const ResultTable& b) = default;
 };
 

@@ -1,50 +1,133 @@
 #include "core/warehouse.h"
 
+#include <algorithm>
+#include <mutex>
 #include <utility>
+#include <vector>
 
 #include "common/check.h"
+#include "common/thread_pool.h"
 #include "workload/query_parser.h"
 
 namespace mdw {
 
+namespace {
+
+/// The plan facts every outcome carries, whichever engine ran the plan.
+QueryOutcome OutcomeFromPlan(BackendKind backend, const QueryPlan& plan) {
+  QueryOutcome outcome;
+  outcome.backend = backend;
+  outcome.query_class = plan.query_class();
+  outcome.io_class = plan.io_class();
+  outcome.fragments_processed = plan.FragmentCount();
+  outcome.bitmaps_per_fragment = plan.BitmapsPerFragment();
+  outcome.selectivity = plan.selectivity();
+  return outcome;
+}
+
+/// Executes `plan` on the materialised store (parallel on `pool`, serial
+/// when it is nullptr) and reports the execution as an outcome.
+QueryOutcome ExecuteOnStore(const MiniWarehouse& mini, const StarQuery& query,
+                            const QueryPlan& plan, const ThreadPool* pool,
+                            MiniWarehouse::ExecScratch* scratch,
+                            const ExecOptions& options = {}) {
+  QueryOutcome outcome = OutcomeFromPlan(BackendKind::kMaterialized, plan);
+  auto mdhf = mini.ExecuteWithPlan(query, plan, pool, scratch, options);
+  static_cast<MiniWarehouse::ExecStats&>(outcome) = mdhf;
+  outcome.status = mdhf.status;
+  outcome.shard_skew = mdhf.ShardSkew();
+  outcome.shards = std::move(mdhf.shards);
+  outcome.degraded = mdhf.degraded;
+  // A failed execution ran its kernels over zero-filled stand-ins, so
+  // the sums are meaningless: surface the typed error with NO aggregate
+  // (and no table) rather than a plausible-looking wrong answer.
+  if (mdhf.status.ok()) {
+    outcome.aggregate = mdhf.result;
+    std::vector<GroupRow> rows;
+    if (query.grouped()) {
+      rows = std::move(mdhf.groups);
+    } else {
+      // Degenerate zero-group case: one row totalling every matching
+      // fact row (present even when nothing matched, as SQL does for an
+      // ungrouped aggregate).
+      rows.push_back({0, mdhf.result.rows, mdhf.result.units_sold,
+                      mdhf.result.dollar_sales_cents, mdhf.rows_summarized});
+    }
+    outcome.table = MakeResultTable(query.aggregates(), query.group_by(),
+                                    query.order_by(), std::move(rows));
+  }
+  return outcome;
+}
+
+}  // namespace
+
+const char* ToString(BackendKind kind) {
+  switch (kind) {
+    case BackendKind::kMaterialized: return "materialized";
+    case BackendKind::kSimulated: return "simulated";
+  }
+  return "?";
+}
+
+struct Warehouse::Store {
+  /// Builds the store from `config`, moving its schema and storage
+  /// settings out.
+  Store(WarehouseConfig& config, std::uint64_t seed)
+      : mini(std::move(config.schema), seed, config.fragmentation,
+             config.enable_fragment_summaries, config.num_shards,
+             config.allocation,
+             {.path = std::move(config.storage_path),
+              .pool_pages = config.storage_pool_pages,
+              .prefetch = config.storage_prefetch,
+              .retry = config.storage_retry,
+              .fault_plan = std::move(config.storage_fault)}),
+        num_workers(ThreadPool::ResolveWorkers(config.num_workers)) {}
+
+  /// The worker pool, spawned on the first execution that can use it (so
+  /// plan-only and serial warehouses never pay for threads); nullptr
+  /// when num_workers == 1.
+  const ThreadPool* pool() {
+    if (num_workers <= 1) return nullptr;
+    std::call_once(pool_once, [this] {
+      // ParallelFor also runs on the calling thread, so num_workers lanes
+      // need num_workers - 1 pool threads.
+      threads = std::make_unique<const ThreadPool>(num_workers - 1);
+    });
+    return threads.get();
+  }
+
+  const MiniWarehouse mini;
+  const int num_workers;  ///< the resolved parallel degree (>= 1)
+  std::once_flag pool_once;
+  std::unique_ptr<const ThreadPool> threads;
+};
+
 Warehouse::Warehouse(WarehouseConfig config)
     : seed_(config.seed.value_or(config.sim.seed)) {
   if (config.backend == BackendKind::kMaterialized) {
-    // The mini-warehouse owns its schema copy; alias the façade's schema
-    // handle to it so fragmentation and planner see the same object the
-    // warehouse validates against. It is built fragment-clustered under
-    // the configured fragmentation attributes, so plans derived by this
+    // The store owns its schema copy; alias the façade's schema handle to
+    // it so fragmentation and planner see the same object the store
+    // validates against. It is built fragment-clustered under the
+    // configured fragmentation attributes, so plans derived by this
     // façade execute fragment-confined through the row-range directory.
     MDW_CHECK(config.num_shards >= 1, "num_shards must be at least 1");
-    storage::StoreOptions store_options;
-    store_options.path = std::move(config.storage_path);
-    store_options.pool_pages = config.storage_pool_pages;
-    store_options.prefetch = config.storage_prefetch;
-    store_options.retry = config.storage_retry;
-    store_options.fault_plan = std::move(config.storage_fault);
-    mini_ = std::make_shared<const MiniWarehouse>(
-        std::move(config.schema), seed_, config.fragmentation,
-        config.enable_fragment_summaries, config.num_shards,
-        config.allocation, std::move(store_options));
-    schema_ = std::shared_ptr<const StarSchema>(mini_, &mini_->schema());
+    store_ = std::make_shared<Store>(config, seed_);
+    schema_ = std::shared_ptr<const StarSchema>(store_, &store_->mini.schema());
   } else {
     schema_ = std::make_shared<const StarSchema>(std::move(config.schema));
   }
 
   // The fragmentation's deleter captures the schema handle: any QueryPlan
-  // or backend holding the fragmentation transitively keeps the schema
+  // or simulator holding the fragmentation transitively keeps the schema
   // (and for kMaterialized the fact data) alive.
   auto schema = schema_;
   fragmentation_ = std::shared_ptr<const Fragmentation>(
       new Fragmentation(schema.get(), std::move(config.fragmentation)),
       [schema](const Fragmentation* f) { delete f; });
 
-  if (config.backend == BackendKind::kMaterialized) {
-    backend_ = std::make_shared<MaterializedBackend>(mini_, fragmentation_,
-                                                     config.num_workers);
-  } else {
-    backend_ = std::make_shared<SimulatedBackend>(schema_, fragmentation_,
-                                                  std::move(config.sim));
+  if (store_ == nullptr) {
+    simulator_ = std::make_shared<const Simulator>(schema_, fragmentation_,
+                                                   std::move(config.sim));
   }
 
   planner_ = std::make_shared<const QueryPlanner>(schema_, fragmentation_);
@@ -66,7 +149,16 @@ std::shared_ptr<const QueryPlan> Warehouse::PlanShared(
 }
 
 QueryOutcome Warehouse::Execute(const StarQuery& query) const {
-  return backend_->Execute(query, *PlanShared(query));
+  const std::shared_ptr<const QueryPlan> plan = PlanShared(query);
+  if (store_ != nullptr) {
+    return ExecuteOnStore(store_->mini, query, *plan, store_->pool(),
+                          /*scratch=*/nullptr);
+  }
+  QueryOutcome outcome = OutcomeFromPlan(BackendKind::kSimulated, *plan);
+  outcome.sim = simulator_->RunSingleUser(std::span(&query, 1),
+                                          std::span(plan.get(), 1));
+  outcome.response_ms = outcome.sim->avg_response_ms;
+  return outcome;
 }
 
 StatusOr<QueryOutcome> Warehouse::ExecuteSql(std::string_view sql) const {
@@ -78,34 +170,225 @@ StatusOr<QueryOutcome> Warehouse::ExecuteSql(std::string_view sql) const {
 BatchOutcome Warehouse::ExecuteBatch(std::span<const StarQuery> queries,
                                      int streams) const {
   MDW_CHECK(!queries.empty(), "empty batch");
-  // The backends consume contiguous plans; cache hits are copied out of
+  // The engines consume contiguous plans; cache hits are copied out of
   // the cache (a copy is two vector clones — far cheaper than deriving).
   std::vector<QueryPlan> plans;
   plans.reserve(queries.size());
   for (const auto& q : queries) plans.push_back(*PlanShared(q));
-  return backend_->ExecuteBatch(queries, plans, streams);
+
+  BatchOutcome batch;
+  batch.backend = backend();
+  if (store_ == nullptr) {
+    for (const QueryPlan& plan : plans) {
+      batch.queries.push_back(OutcomeFromPlan(BackendKind::kSimulated, plan));
+    }
+    batch.sim = simulator_->RunMultiUser(queries, plans, streams);
+    batch.makespan_ms = batch.sim->makespan_ms;
+    // The simulator attributes responses by submitted query id, so the
+    // per-query times are valid at ANY stream count — multi-stream SIMPAD
+    // latencies compare apples-to-apples against real per-query runs.
+    for (std::size_t i = 0; i < batch.queries.size(); ++i) {
+      batch.queries[i].response_ms = batch.sim->response_by_query_ms[i];
+    }
+    return batch;
+  }
+
+  // Materialised execution has no timing model, so `streams` is ignored
+  // and a batch is just the per-query outcomes.
+  const MiniWarehouse& mini = store_->mini;
+  const ThreadPool* pool = store_->pool();
+  if (pool != nullptr && queries.size() > 1) {
+    // Inter-query parallelism: one task per query, each executed serially
+    // inside its task (the pool is never nested). Outcomes land in input
+    // order — deterministic. Each task owns a scratch for the query it
+    // claims (scratches are not thread-safe, so the serial per-batch
+    // reuse doesn't apply here).
+    batch.queries.resize(queries.size());
+    pool->ParallelFor(static_cast<std::int64_t>(queries.size()),
+                      [&](std::int64_t i) {
+                        const auto u = static_cast<std::size_t>(i);
+                        MiniWarehouse::ExecScratch scratch;
+                        batch.queries[u] = ExecuteOnStore(
+                            mini, queries[u], plans[u], nullptr, &scratch);
+                      });
+  } else {
+    // One scratch for the whole batch: the per-query bitmap-access buffer
+    // is resolved in place instead of reallocated every iteration.
+    MiniWarehouse::ExecScratch scratch;
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      batch.queries.push_back(
+          ExecuteOnStore(mini, queries[i], plans[i], pool, &scratch));
+    }
+  }
+  return batch;
 }
 
 BatchOutcome Warehouse::Serve(std::span<const Arrival> arrivals,
-                              const ServingConfig& config,
+                              const ServingConfig& serving,
                               ServeSchedule* schedule_out) const {
-  MDW_CHECK(backend_->kind() == BackendKind::kMaterialized,
+  MDW_CHECK(store_ != nullptr,
             "Serve() needs BackendKind::kMaterialized — the simulated "
             "backend models multi-user streams via ExecuteBatch(streams)");
+  const MiniWarehouse& mini = store_->mini;
+  ServingConfig config = serving;
+  if (config.num_workers <= 0) config.num_workers = store_->num_workers;
   std::vector<QueryPlan> plans;
   plans.reserve(arrivals.size());
   for (const auto& a : arrivals) plans.push_back(*PlanShared(a.query));
-  return static_cast<const MaterializedBackend*>(backend_.get())
-      ->Serve(arrivals, plans, config, schedule_out);
+
+  // ---- deterministic virtual-time schedule ----
+  std::vector<std::int64_t> demands;
+  demands.reserve(plans.size());
+  for (const auto& plan : plans) demands.push_back(VirtualDemand(plan));
+  // Covered (degraded-mode) demands unlock OverloadPolicy::kDegrade,
+  // but only when this warehouse can actually answer covered-only
+  // queries (it has summaries); otherwise expiring queries shed instead
+  // of degrading.
+  std::vector<std::int64_t> covered_demands;
+  if (mini.summaries_enabled()) {
+    covered_demands.reserve(plans.size());
+    for (std::size_t i = 0; i < plans.size(); ++i) {
+      // A plan grouped below the fragmentation level cannot run
+      // covered-only (prefix sums can't split a fragment across groups):
+      // advertising its full demand as the covered demand makes the
+      // scheduler shed it on overload instead of degrading it.
+      const bool degradable =
+          !plans[i].grouped() || plans[i].AlignedGrouping();
+      covered_demands.push_back(degradable ? CoveredDemand(plans[i])
+                                           : demands[i]);
+    }
+  }
+  const QueryScheduler scheduler(config);
+  ServeSchedule schedule = scheduler.Run(arrivals, demands, covered_demands);
+
+  // ---- real execution, replaying the dispatch order on the pool ----
+  // Outcome slot k belongs to the k-th SERVED query in admission order;
+  // the pool claims work in dispatch order (ParallelFor hands out
+  // ascending indices), so the executor starts queries exactly as the
+  // virtual-time policy decided while outcomes land deterministically.
+  std::vector<std::pair<std::int64_t, std::size_t>> dispatch_order;
+  std::vector<std::size_t> served_slots;
+  for (std::size_t slot = 0; slot < schedule.admitted.size(); ++slot) {
+    if (!schedule.admitted[slot].served) continue;
+    dispatch_order.emplace_back(schedule.admitted[slot].dispatch_seq, slot);
+    served_slots.push_back(slot);
+  }
+  std::sort(dispatch_order.begin(), dispatch_order.end());
+  std::vector<std::size_t> outcome_slot_of(schedule.admitted.size(), 0);
+  for (std::size_t k = 0; k < served_slots.size(); ++k) {
+    outcome_slot_of[served_slots[k]] = k;
+  }
+
+  BatchOutcome batch;
+  batch.backend = BackendKind::kMaterialized;
+  batch.queries.resize(served_slots.size());
+  const auto is_cancel_code = [](StatusCode code) {
+    return code == StatusCode::kCancelled ||
+           code == StatusCode::kDeadlineExceeded;
+  };
+  const auto run_one = [&](std::size_t slot,
+                           MiniWarehouse::ExecScratch* scratch) {
+    const ScheduledQuery& sq = schedule.admitted[slot];
+    const auto ai = static_cast<std::size_t>(sq.arrival_index);
+    // Degraded dispatches replay in covered-only mode; a per-query
+    // wall-clock budget (when configured) links under the serve-wide
+    // cancel token, so either tripping abandons this query — typed
+    // status, no aggregate — without touching its neighbours.
+    ExecOptions options;
+    options.covered_only = sq.degraded;
+    options.cancel =
+        config.exec_deadline_us > 0
+            ? CancellationToken::WithTimeoutMicros(config.exec_deadline_us,
+                                                   {}, config.cancel)
+            : config.cancel;
+    // A token tripped before this query even started yields its typed
+    // status (with the plan facts) from the executor's entry checkpoint.
+    QueryOutcome out = ExecuteOnStore(mini, arrivals[ai].query, plans[ai],
+                                      nullptr, scratch, options);
+    // Requeue-on-error: re-execute in this query's own dispatch slot
+    // (the virtual-time schedule never moves) until the error clears or
+    // the budget runs out. Cancelled/expired queries are never retried,
+    // and a query whose deadline expires between attempts skips its
+    // re-execution — its storage error is replaced by the typed
+    // deadline status (counted deadline_missed, not failed). The failed
+    // attempts' I/O and failure counters accumulate into the totals and
+    // each shard's record, so the outcome accounts for the whole fight,
+    // not just the last round, and its shards still sum to its totals.
+    while (!out.status.ok() && !is_cancel_code(out.status.code()) &&
+           out.requeues < config.max_requeues) {
+      if (options.cancel.ShouldStop()) {
+        out.status = options.cancel.CancelStatus();
+        out.aggregate.reset();
+        break;
+      }
+      QueryOutcome retry = ExecuteOnStore(mini, arrivals[ai].query,
+                                          plans[ai], nullptr, scratch, options);
+      retry.IoCounters::Merge(out);
+      for (std::size_t s = 0; s < retry.shards.size(); ++s) {
+        retry.shards[s].IoCounters::Merge(out.shards[s]);
+      }
+      retry.requeues = out.requeues + 1;
+      out = std::move(retry);
+    }
+    batch.queries[outcome_slot_of[slot]] = std::move(out);
+  };
+  if (const ThreadPool* pool = store_->pool();
+      pool != nullptr && dispatch_order.size() > 1) {
+    pool->ParallelFor(static_cast<std::int64_t>(dispatch_order.size()),
+                      [&](std::int64_t i) {
+                        MiniWarehouse::ExecScratch scratch;
+                        run_one(dispatch_order[static_cast<std::size_t>(i)]
+                                    .second,
+                                &scratch);
+                      });
+  } else {
+    MiniWarehouse::ExecScratch scratch;
+    for (const auto& [seq, slot] : dispatch_order) run_one(slot, &scratch);
+  }
+
+  ServeMetrics metrics = ComputeServeMetrics(schedule, arrivals, config);
+  // Failure accounting by stream: outcome slot k is the k-th served query
+  // in admission order, so its schedule record (and stream) is
+  // served_slots[k].
+  for (std::size_t k = 0; k < served_slots.size(); ++k) {
+    const ScheduledQuery& sq = schedule.admitted[served_slots[k]];
+    const QueryOutcome& out = batch.queries[k];
+    auto& stream = metrics.streams[static_cast<std::size_t>(sq.stream)];
+    if (!out.status.ok()) {
+      // Typed cancellation is not a failure: kCancelled counts as
+      // cancelled, kDeadlineExceeded as a deadline miss; only genuine
+      // storage errors surviving the requeue budget count as failed.
+      switch (out.status.code()) {
+        case StatusCode::kCancelled:
+          ++stream.cancelled;
+          ++metrics.total.cancelled;
+          break;
+        case StatusCode::kDeadlineExceeded:
+          ++stream.deadline_missed;
+          ++metrics.total.deadline_missed;
+          break;
+        default:
+          ++stream.failed;
+          ++metrics.total.failed;
+      }
+    }
+    stream.requeued += out.requeues;
+    metrics.total.requeued += out.requeues;
+  }
+  batch.serving = std::move(metrics);
+  if (schedule_out != nullptr) *schedule_out = std::move(schedule);
+  return batch;
 }
 
-const MiniWarehouse* Warehouse::materialized() const { return mini_.get(); }
+const MiniWarehouse* Warehouse::materialized() const {
+  return store_ == nullptr ? nullptr : &store_->mini;
+}
 
 const SimConfig& Warehouse::sim_config() const {
-  MDW_CHECK(backend_->kind() == BackendKind::kSimulated,
+  MDW_CHECK(simulator_ != nullptr,
             "sim_config() needs BackendKind::kSimulated, but this "
             "warehouse runs the materialized backend");
-  return static_cast<const SimulatedBackend*>(backend_.get())->config();
+  return simulator_->config();
 }
 
 PlanCache::Stats Warehouse::plan_cache_stats() const {

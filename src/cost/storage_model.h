@@ -28,9 +28,6 @@ struct StorageBreakdown {
   std::vector<DimensionStorage> per_dimension;
 
   std::int64_t TotalRaw() const { return fact_bytes + bitmap_raw_bytes; }
-  std::int64_t TotalCompressed() const {
-    return fact_bytes + bitmap_compressed_bytes;
-  }
 };
 
 /// Expected WAH-compressed size of one bitmap with `set_bits` uniformly

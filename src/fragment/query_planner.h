@@ -124,12 +124,11 @@ class QueryPlan {
 
   bool grouped() const { return group_by_.has_value(); }
   const std::optional<GroupBy>& group_by() const { return group_by_; }
-  /// Index of the fragmentation attribute the grouping *aligns* with
-  /// (same dimension, group depth at or above the fragmentation depth),
-  /// or -1. Aligned groups partition the fragment set, so covered
-  /// fragments feed their prefix-sum partials straight into their group;
+  /// True iff the grouping *aligns* with a fragmentation attribute (same
+  /// dimension, group depth at or above the fragmentation depth).
+  /// Aligned groups partition the fragment set, so covered fragments
+  /// feed their prefix-sum partials straight into their group;
   /// non-aligned groups force the residual scan path with per-row keys.
-  int group_attr() const { return group_attr_; }
   bool AlignedGrouping() const { return group_attr_ >= 0; }
   /// Cardinality of the GROUP BY attribute (0 when ungrouped) — the dense
   /// key domain of execution's per-chunk group accumulators.

@@ -299,8 +299,8 @@ std::int64_t CoveredDemand(const QueryPlan& plan);
 /// servers under the configured policy. Run() is single-threaded and
 /// purely virtual-time — the returned schedule fixes admission, dispatch
 /// order and all latency metrics deterministically; real execution (see
-/// MaterializedBackend::Serve) only replays the dispatch order onto the
-/// thread pool.
+/// Warehouse::Serve) only replays the dispatch order onto the thread
+/// pool.
 class QueryScheduler {
  public:
   /// `config.num_workers` must be resolved (>= 1) by the caller.

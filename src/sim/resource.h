@@ -25,9 +25,6 @@ class FcfsServer {
   const std::string& name() const { return name_; }
   double busy_ms() const { return busy_ms_; }
   std::int64_t completed() const { return completed_; }
-  std::int64_t queue_length() const {
-    return static_cast<std::int64_t>(pending_.size()) + (busy_? 1 : 0);
-  }
 
   /// Utilisation over [0, horizon].
   double Utilization(SimTime horizon) const {

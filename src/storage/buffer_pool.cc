@@ -3,11 +3,21 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <string>
 #include <thread>
 
 #include "common/check.h"
 
 namespace mdw::storage {
+
+namespace {
+
+/// Retry backoff growth: each sleep after the first is twice the one
+/// before, capped at 10 ms (the first sleep is the policy's backoff_us).
+constexpr double kBackoffMultiplier = 2.0;
+constexpr std::int64_t kMaxBackoffUs = 10'000;
+
+}  // namespace
 
 BufferPool::BufferPool(std::int64_t capacity_pages, std::int64_t page_size,
                        StorageRetryPolicy retry)
@@ -46,7 +56,7 @@ std::int32_t BufferPool::AcquireSlot() {
 }
 
 Status BufferPool::LoadWithRetry(const PageFile& file, std::int64_t page,
-                                 std::int32_t slot, PinIo* io,
+                                 std::int32_t slot, IoCounters* io,
                                  const CancellationToken& cancel) {
   Status st;
   std::int64_t backoff = retry_.backoff_us;
@@ -66,8 +76,8 @@ Status BufferPool::LoadWithRetry(const PageFile& file, std::int64_t page,
         }
         backoff = std::min<std::int64_t>(
             static_cast<std::int64_t>(static_cast<double>(backoff) *
-                                      retry_.backoff_multiplier),
-            retry_.max_backoff_us);
+                                      kBackoffMultiplier),
+            kMaxBackoffUs);
       }
     }
     st = file.ReadPages(page, 1, SlotData(slot));
@@ -90,19 +100,16 @@ void BufferPool::ReleaseFailedLocked(std::uint64_t key, Frame* f) {
   }
 }
 
-void BufferPool::MergeIoLocked(const PinIo& io, PinIo* out) {
+void BufferPool::MergeIoLocked(const IoCounters& io, IoCounters* out) {
   io_errors_ += io.io_errors;
   io_retries_ += io.io_retries;
   checksum_failures_ += io.checksum_failures;
-  if (out != nullptr) {
-    out->io_errors += io.io_errors;
-    out->io_retries += io.io_retries;
-    out->checksum_failures += io.checksum_failures;
-  }
+  if (out != nullptr) out->Merge(io);
 }
 
 StatusOr<BufferPool::PageRef> BufferPool::Pin(const PageFile& file,
-                                              std::int64_t page, PinIo* io,
+                                              std::int64_t page,
+                                              IoCounters* io,
                                               const CancellationToken& cancel) {
   MDW_CHECK(page_size_ == file.page_size(), "page size mismatch with pool");
   const std::uint64_t key = MakeKey(file.file_id(), page);
@@ -145,19 +152,30 @@ StatusOr<BufferPool::PageRef> BufferPool::Pin(const PageFile& file,
           return st;
         }
       }
+      if (io != nullptr) ++io->buffer_hits;
       return PageRef(this, key, SlotData(f->slot), /*hit=*/true);
     }
     const std::int32_t slot = AcquireSlot();
-    MDW_CHECK(slot >= 0,
-              "buffer pool exhausted: every frame is pinned; "
-              "increase pool capacity");
+    if (slot < 0) {
+      // Too small a pool for the concurrent pin load. Nothing is read,
+      // so the lookup above counts as no miss (pages_read derives from
+      // the misses).
+      cache_.UncountMiss();
+      return Status::IoError("buffer pool exhausted: every one of its " +
+                             std::to_string(capacity_pages_) +
+                             " frames is pinned");
+    }
     Frame* f = cache_.Insert(
         key, Frame{slot, /*pins=*/1, /*loading=*/true, /*failed=*/false, {}},
         /*weight=*/1);
     ++pinned_;
     lk.unlock();
-    PinIo local;
+    IoCounters local;
     const Status st = LoadWithRetry(file, page, slot, &local, cancel);
+    if (st.ok()) {
+      local.pages_read = 1;
+      local.bytes_read = page_size_;
+    }
     lk.lock();
     MergeIoLocked(local, io);
     f->loading = false;
@@ -182,7 +200,7 @@ void BufferPool::Unpin(std::uint64_t key) {
 }
 
 std::int64_t BufferPool::Prefetch(const PageFile& file, std::int64_t first,
-                                  std::int64_t count, PinIo* io) {
+                                  std::int64_t count, IoCounters* io) {
   MDW_CHECK(page_size_ == file.page_size(), "page size mismatch with pool");
   first = std::max<std::int64_t>(first, 0);
   count = std::min(count, file.page_count() - first);
@@ -218,7 +236,7 @@ std::int64_t BufferPool::Prefetch(const PageFile& file, std::int64_t first,
   // needs it retries under the pool's policy.
   std::vector<std::byte> scratch;
   std::vector<Status> page_status(pages.size());
-  PinIo local;
+  IoCounters local;
   std::size_t i = 0;
   while (i < pages.size()) {
     std::size_t j = i + 1;
@@ -248,7 +266,6 @@ std::int64_t BufferPool::Prefetch(const PageFile& file, std::int64_t first,
 
   std::int64_t kept = 0;
   std::lock_guard<std::mutex> lk(mu_);
-  MergeIoLocked(local, io);
   for (std::size_t k = 0; k < pages.size(); ++k) {
     const std::uint64_t key = MakeKey(file.file_id(), pages[k]);
     Frame* f = cache_.Peek(key);
@@ -267,6 +284,9 @@ std::int64_t BufferPool::Prefetch(const PageFile& file, std::int64_t first,
     }
   }
   prefetched_ += kept;
+  local.pages_read = kept;
+  local.bytes_read = kept * page_size_;
+  MergeIoLocked(local, io);
   cv_.notify_all();
   return kept;
 }

@@ -22,11 +22,37 @@ struct StorageRetryPolicy {
   /// Total read attempts per page load (1 = fail on the first error).
   int max_attempts = 1;
   /// Sleep before the first retry, microseconds; each further retry
-  /// multiplies by `backoff_multiplier`, capped at `max_backoff_us`.
-  /// 0 = retry immediately.
+  /// doubles it, capped at 10 ms. 0 = retry immediately.
   std::int64_t backoff_us = 0;
-  double backoff_multiplier = 2.0;
-  std::int64_t max_backoff_us = 10'000;
+};
+
+/// I/O attributed to one reader — a Pin or Prefetch call, or a scan
+/// chunk's cursors. `pages_read` counts pages faulted from disk (demand
+/// misses plus prefetched pages kept), `buffer_hits` pins served from
+/// cache (prefetched pages pin as hits), `bytes_read` the faulted pages
+/// in bytes. The failure counters: `io_errors` = read attempts that
+/// failed, `io_retries` = extra read attempts the retry policy issued,
+/// `checksum_failures` = page images that failed CRC verification.
+/// Summed over a query's readers, these match the pool's own counter
+/// deltas.
+struct IoCounters {
+  std::int64_t pages_read = 0;
+  std::int64_t buffer_hits = 0;
+  std::int64_t bytes_read = 0;
+  std::int64_t io_errors = 0;
+  std::int64_t io_retries = 0;
+  std::int64_t checksum_failures = 0;
+
+  void Merge(const IoCounters& o) {
+    pages_read += o.pages_read;
+    buffer_hits += o.buffer_hits;
+    bytes_read += o.bytes_read;
+    io_errors += o.io_errors;
+    io_retries += o.io_retries;
+    checksum_failures += o.checksum_failures;
+  }
+
+  friend bool operator==(const IoCounters& a, const IoCounters& b) = default;
 };
 
 /// Counters a BufferPool accumulates over its lifetime (until Reset).
@@ -71,20 +97,15 @@ class BufferPool {
 
   class PageRef;
 
-  /// Per-call failure attribution of one Pin/Prefetch (added into the
-  /// pool's lifetime counters as well).
-  struct PinIo {
-    std::int64_t io_errors = 0;
-    std::int64_t io_retries = 0;
-    std::int64_t checksum_failures = 0;
-  };
-
   /// Returns a pinned reference to `page` of `file`, faulting it in on a
   /// miss (verified against the file's attached checksums, retried under
   /// the pool's StorageRetryPolicy). On failure returns the last error —
   /// kIoError or kCorruption — and the frame is gone from the pool.
-  /// Aborts when every frame is pinned (the pool is sized too small for
-  /// the concurrent pin load).
+  /// When every frame is pinned (the pool is sized too small for the
+  /// concurrent pin load) returns kIoError naming the capacity, without
+  /// inserting a frame or counting a read. `io` (optional) receives the
+  /// call's hit or page read and its failure counters; the failure
+  /// counters also add into the pool's lifetime counters.
   ///
   /// `cancel` bounds the retry budget: backoff sleeps are capped by the
   /// token's RemainingMicros() and a tripped token abandons the
@@ -95,7 +116,7 @@ class BufferPool {
   /// cancellation-typed error retries the load itself, under its own
   /// token and a fresh retry budget.
   StatusOr<PageRef> Pin(const PageFile& file, std::int64_t page,
-                        PinIo* io = nullptr,
+                        IoCounters* io = nullptr,
                         const CancellationToken& cancel = {});
 
   /// Best-effort read-ahead of pages [first, first + count): faults the
@@ -104,10 +125,11 @@ class BufferPool {
   /// run is capped at min(64, capacity/4) pages so a prefetch can never
   /// flush a small pool. Pages whose read fails or whose checksum does
   /// not verify are dropped (not cached, no retry — the demand fault
-  /// will retry under the policy); failures land in `io`. Returns the
-  /// number of pages actually faulted AND kept.
+  /// will retry under the policy). `io` (optional) receives the kept
+  /// pages as pages read, and the failures. Returns the number of pages
+  /// actually faulted AND kept.
   std::int64_t Prefetch(const PageFile& file, std::int64_t first,
-                        std::int64_t count, PinIo* io = nullptr);
+                        std::int64_t count, IoCounters* io = nullptr);
 
   /// Drops every cached page and zeroes the counters; aborts if any page
   /// is still pinned. For cold-cache benchmarks and tests.
@@ -115,7 +137,6 @@ class BufferPool {
 
   std::int64_t capacity_pages() const { return capacity_pages_; }
   std::int64_t page_size() const { return page_size_; }
-  const StorageRetryPolicy& retry_policy() const { return retry_; }
 
   /// Snapshot of the counters (consistent across fields).
   PoolStats stats() const;
@@ -145,16 +166,19 @@ class BufferPool {
   /// Reads `page` into `slot` and CRC-verifies it, retrying under the
   /// policy with bounded backoff — sleeps capped by `cancel`'s remaining
   /// deadline, a tripped token returning its typed status. Called
-  /// UNLOCKED; counts into `io`.
+  /// UNLOCKED; counts its failures into `io`.
   Status LoadWithRetry(const PageFile& file, std::int64_t page,
-                       std::int32_t slot, PinIo* io,
+                       std::int32_t slot, IoCounters* io,
                        const CancellationToken& cancel);
 
   /// Drops one pin of a failed frame; the last pin out erases the frame
   /// and recycles its slot. Caller holds mu_ and must notify cv_.
   void ReleaseFailedLocked(std::uint64_t key, Frame* f);
 
-  void MergeIoLocked(const PinIo& io, PinIo* out);
+  /// Adds one call's failure counters to the pool's lifetime counters
+  /// and all of `io` to the caller's `out` (when non-null). Caller holds
+  /// mu_.
+  void MergeIoLocked(const IoCounters& io, IoCounters* out);
 
   void Unpin(std::uint64_t key);
 

@@ -58,7 +58,6 @@ class PageFile {
     checksum_first_page_ = first_page;
     checksums_ = std::move(checksums);
   }
-  bool has_checksums() const { return !checksums_.empty(); }
 
   /// Checks `data` (one page_size-byte page image) against the attached
   /// checksum of `page`; kCorruption on mismatch, ok when it matches or

@@ -463,15 +463,8 @@ std::int64_t SegmentStore::Cursor::Fault(std::int64_t i) {
   const std::int64_t file_page =
       dir.col_first_page[static_cast<std::size_t>(column_)] + page_in_col;
 
-  BufferPool::PinIo pin_io;
-  StatusOr<BufferPool::PageRef> ref =
-      st.pool_->Pin(*st.files_[static_cast<std::size_t>(s)], file_page,
-                    &pin_io, cancel_);
-  if (io_ != nullptr) {
-    io_->io_errors += pin_io.io_errors;
-    io_->io_retries += pin_io.io_retries;
-    io_->checksum_failures += pin_io.checksum_failures;
-  }
+  StatusOr<BufferPool::PageRef> ref = st.pool_->Pin(
+      *st.files_[static_cast<std::size_t>(s)], file_page, io_, cancel_);
   if (!ref.ok()) {
     // Latch the error; from here every At() answers 0 without touching
     // the pool, and the caller discards the aggregate via status().
@@ -481,20 +474,11 @@ std::int64_t SegmentStore::Cursor::Fault(std::int64_t i) {
     page_.reset();
     return 0;
   }
-  if (io_ != nullptr) {
-    if (ref->hit()) {
-      ++io_->buffer_hits;
-    } else {
-      ++io_->pages_read;
-      io_->bytes_read += st.page_size_;
-    }
-  }
   span_ = reinterpret_cast<const std::int64_t*>(ref->data());
   span_begin_ = begin + page_in_col * st.tuples_per_page_;
   span_end_ =
       begin + std::min(page_in_col * st.tuples_per_page_ + st.tuples_per_page_,
                        values);
-  shard_ = s;
   page_ = std::make_unique<BufferPool::PageRef>(std::move(ref).value());
   return span_[static_cast<std::size_t>(i - span_begin_)];
 }
@@ -514,18 +498,10 @@ void SegmentStore::Cursor::PrefetchRun(std::int64_t begin, std::int64_t end) {
     if (run_end > i) {
       const std::int64_t first_page = (i - base) / st.tuples_per_page_;
       const std::int64_t last_page = (run_end - 1 - base) / st.tuples_per_page_;
-      BufferPool::PinIo pin_io;
-      const std::int64_t fetched = st.pool_->Prefetch(
+      st.pool_->Prefetch(
           *st.files_[static_cast<std::size_t>(s)],
           dir.col_first_page[static_cast<std::size_t>(column_)] + first_page,
-          last_page - first_page + 1, &pin_io);
-      if (io_ != nullptr) {
-        io_->pages_read += fetched;
-        io_->bytes_read += fetched * st.page_size_;
-        io_->io_errors += pin_io.io_errors;
-        io_->io_retries += pin_io.io_retries;
-        io_->checksum_failures += pin_io.checksum_failures;
-      }
+          last_page - first_page + 1, io_);
     }
     // Advance past this shard's slice of the run (guaranteed progress
     // even over empty shards).

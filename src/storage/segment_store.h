@@ -157,37 +157,10 @@ class SegmentStore {
   /// First data page of shard `s` (== header pages + checksum pages).
   std::int64_t FirstDataPage(int s) const;
 
-  /// I/O a reader attributed to one execution slice. `pages_read`
-  /// counts pages faulted from disk (demand misses plus pages this
-  /// reader prefetched); `buffer_hits` counts pins served from cache
-  /// (prefetched pages pin as hits). Summed over a query's cursors,
-  /// these match the pool's own counter deltas. The failure counters
-  /// mirror BufferPool::PinIo: failed read attempts, retry attempts
-  /// issued, and checksum verification failures this slice observed.
-  struct IoCounters {
-    std::int64_t pages_read = 0;
-    std::int64_t buffer_hits = 0;
-    std::int64_t bytes_read = 0;
-    std::int64_t io_errors = 0;
-    std::int64_t io_retries = 0;
-    std::int64_t checksum_failures = 0;
-
-    void Merge(const IoCounters& o) {
-      pages_read += o.pages_read;
-      buffer_hits += o.buffer_hits;
-      bytes_read += o.bytes_read;
-      io_errors += o.io_errors;
-      io_retries += o.io_retries;
-      checksum_failures += o.checksum_failures;
-    }
-
-    friend bool operator==(const IoCounters& a,
-                           const IoCounters& b) = default;
-  };
-
   /// A read cursor over one column, addressed by global clustered row
   /// index; caches the current pinned page so sequential access costs
-  /// one pool pin per page. Cheap to construct (per scan chunk); NOT
+  /// one pool pin per page. Every pin and prefetch counts its I/O into
+  /// `io` (when non-null). Cheap to construct (per scan chunk); NOT
   /// thread-safe — use one cursor per thread, and a non-null `io` must
   /// not be shared across concurrently-used cursors.
   ///
@@ -237,7 +210,6 @@ class SegmentStore {
     std::int64_t span_begin_ = 0;
     std::int64_t span_end_ = 0;
     const std::int64_t* span_ = nullptr;
-    std::int64_t shard_ = 0;  ///< shard of the current span (hint)
     std::unique_ptr<BufferPool::PageRef> page_;
   };
 

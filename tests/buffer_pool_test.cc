@@ -1,6 +1,7 @@
 // Buffer-pool tests: hit/miss/eviction accounting of the page-granular
 // LRU pool, pin semantics (pinned frames are never victims; releasing a
-// pin makes the frame evictable again), coalesced prefetch with its
+// pin makes the frame evictable again; a pin with every frame pinned is
+// a typed error that reads nothing), coalesced prefetch with its
 // pool-flush cap, Reset, data integrity across evictions, concurrent
 // pins of the same and different pages, and the failure path: injected
 // read errors and checksum mismatches surface as typed statuses, leave
@@ -139,6 +140,33 @@ TEST(BufferPoolTest, PinnedPagesAreNeverEvicted) {
   // Page 0 was the LRU candidate the whole time but stayed resident.
   EXPECT_TRUE(MustPin(pool, *file, 0).hit());
   EXPECT_EQ(ReadValue(pinned, 0), ValueAt(0, 0));
+}
+
+TEST(BufferPoolTest, PinWithEveryFramePinnedIsATypedError) {
+  TempPageFile tmp(2);
+  auto file = PageFile::Open(tmp.path(), kPageSize, 0);
+  BufferPool pool(1, kPageSize);
+  {
+    auto pinned = MustPin(pool, *file, 0);  // holds the only frame
+    IoCounters io;
+    StatusOr<BufferPool::PageRef> refused = pool.Pin(*file, 1, &io);
+    ASSERT_FALSE(refused.ok());
+    EXPECT_EQ(refused.status().code(), StatusCode::kIoError);
+    EXPECT_NE(refused.status().message().find("1 frames"), std::string::npos)
+        << refused.status().ToString();
+    // Nothing was read: no failure, no page, no miss anywhere.
+    EXPECT_EQ(io, IoCounters{});
+    const PoolStats stats = pool.stats();
+    EXPECT_EQ(stats.io_errors, 0);
+    EXPECT_EQ(stats.misses, 1);  // page 0's fault only
+    EXPECT_EQ(stats.pages_read, 1);
+    EXPECT_EQ(ReadValue(pinned, 0), ValueAt(0, 0));
+  }
+  // With the first pin dropped its frame is free to recycle.
+  auto ref = MustPin(pool, *file, 1);
+  EXPECT_FALSE(ref.hit());
+  EXPECT_EQ(ReadValue(ref, 5), ValueAt(1, 5));
+  EXPECT_EQ(pool.stats().io_errors, 0);
 }
 
 TEST(BufferPoolTest, ReleasedPinMakesFrameEvictableAgain) {
@@ -281,7 +309,7 @@ TEST(BufferPoolTest, InjectedReadErrorSurfacesTypedAndLeavesPoolClean) {
   { auto r = MustPin(pool, *file, 0); }
   { auto r = MustPin(pool, *file, 1); }
 
-  BufferPool::PinIo io;
+  IoCounters io;
   StatusOr<BufferPool::PageRef> failed = pool.Pin(*file, 2, &io);
   ASSERT_FALSE(failed.ok());
   EXPECT_EQ(failed.status().code(), StatusCode::kIoError);
@@ -314,11 +342,9 @@ TEST(BufferPoolTest, RetryPolicyClearsTransientFault) {
   FaultInjector injector(plan);
   auto file = injector.Wrap(PageFile::Open(tmp.path(), kPageSize, 0));
   BufferPool pool(4, kPageSize,
-                  StorageRetryPolicy{/*max_attempts=*/2, /*backoff_us=*/0,
-                                     /*backoff_multiplier=*/2.0,
-                                     /*max_backoff_us=*/0});
+                  StorageRetryPolicy{.max_attempts = 2});
 
-  BufferPool::PinIo io;
+  IoCounters io;
   StatusOr<BufferPool::PageRef> ref = pool.Pin(*file, 1, &io);
   ASSERT_TRUE(ref.ok()) << ref.status().ToString();
   EXPECT_EQ(ReadValue(*ref, 0), ValueAt(1, 0));
@@ -338,7 +364,7 @@ TEST(BufferPoolTest, ChecksumMismatchSurfacesAsCorruption) {
   file->AttachChecksums(0, std::move(crcs));
   BufferPool pool(4, kPageSize);
 
-  BufferPool::PinIo io;
+  IoCounters io;
   StatusOr<BufferPool::PageRef> bad = pool.Pin(*file, 2, &io);
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), StatusCode::kCorruption);
@@ -362,7 +388,7 @@ TEST(BufferPoolTest, PrefetchDropsUnverifiablePagesAndKeepsTheRest) {
   file->AttachChecksums(0, std::move(crcs));
   BufferPool pool(64, kPageSize);
 
-  BufferPool::PinIo io;
+  IoCounters io;
   EXPECT_EQ(pool.Prefetch(*file, 0, 8, &io), 7);  // page 3 dropped
   EXPECT_EQ(io.checksum_failures, 1);
   EXPECT_EQ(pool.stats().prefetched, 7);
@@ -391,9 +417,7 @@ TEST(BufferPoolTest, ConcurrentPinsUnderInjectedFaultsRecover) {
   FaultInjector injector(plan);
   auto file = injector.Wrap(PageFile::Open(tmp.path(), kPageSize, 0));
   BufferPool pool(8, kPageSize,
-                  StorageRetryPolicy{/*max_attempts=*/4, /*backoff_us=*/0,
-                                     /*backoff_multiplier=*/2.0,
-                                     /*max_backoff_us=*/0});
+                  StorageRetryPolicy{.max_attempts = 4});
   constexpr int kThreads = 8;
   std::vector<std::thread> threads;
   // One slot per thread; not vector<bool>, whose bits share words.

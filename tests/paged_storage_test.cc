@@ -5,7 +5,8 @@
 // error when a segment is truncated under the open reader, the on-disk
 // format invariants, query I/O counters against the buffer pool's own
 // accounting (and their per-shard split), service through a pool far
-// smaller than the working set, and pages_read against PagedLayout's
+// smaller than the working set, a typed error (never an abort) from a
+// pool too small for one scan lane, and pages_read against PagedLayout's
 // page-count predictions on residual vs covered queries.
 //
 // Every test writes under a mkdtemp directory removed by an RAII guard,
@@ -434,6 +435,35 @@ TEST(PagedStorageTest, ServesTheDatasetThroughAPoolSmallerThanTheWorkingSet) {
   }
   // A 16-page pool cannot hold the measure columns; pages churned.
   EXPECT_GT(paged.materialized()->paged_store()->pool().stats().evictions, 0);
+}
+
+TEST(PagedStorageTest, TooSmallPoolFailsTheQueryTyped) {
+  // A grouped residual scan pins a page per measure cursor (and one for
+  // the group key), so one lane needs more than two frames: the query
+  // fails typed instead of aborting the process.
+  const std::string sql =
+      "SELECT SUM(UnitsSold) FROM tiny_sales WHERE customer.store = 3 "
+      "GROUP BY product.group";
+  TempDir dir;
+  const Warehouse tiny =
+      MakeFacade(2, /*workers=*/1, dir.path(), /*pool_pages=*/2);
+  const StatusOr<QueryOutcome> failed = tiny.ExecuteSql(sql);
+  ASSERT_TRUE(failed.ok()) << failed.status().ToString();
+  EXPECT_EQ(failed->status.code(), StatusCode::kIoError)
+      << failed->status.ToString();
+  EXPECT_FALSE(failed->aggregate.has_value());
+  EXPECT_FALSE(failed->table.has_value());
+
+  // The default pool answers exactly what the RAM store answers.
+  TempDir dir2;
+  const StatusOr<QueryOutcome> ram = MakeFacade(2, 1).ExecuteSql(sql);
+  const StatusOr<QueryOutcome> paged =
+      MakeFacade(2, 1, dir2.path()).ExecuteSql(sql);
+  ASSERT_TRUE(ram.ok() && paged.ok());
+  ASSERT_TRUE(paged->status.ok()) << paged->status.ToString();
+  ASSERT_TRUE(ram->table.has_value() && paged->table.has_value());
+  EXPECT_EQ(*paged->table, *ram->table);
+  EXPECT_EQ(*paged->aggregate, *ram->aggregate);
 }
 
 TEST(PagedStorageTest, QueryIoCountersMatchThePoolAndSumOverShards) {

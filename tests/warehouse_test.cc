@@ -208,6 +208,44 @@ TEST(WarehouseSimulatedTest, BatchRunsMultiUserStreams) {
 }
 
 // ---------------------------------------------------------------------------
+// The calls that need one particular backend.
+
+Warehouse Apb1Simulated() {
+  SimConfig sim;
+  sim.num_disks = 20;
+  sim.num_nodes = 4;
+  sim.seed = 7;
+  return Warehouse({.schema = MakeApb1Schema(),
+                    .fragmentation = MonthGroup(),
+                    .backend = BackendKind::kSimulated,
+                    .sim = sim});
+}
+
+TEST(WarehouseBackendTest, SimulatedWarehouseExposesItsSimulatorOnly) {
+  const Warehouse warehouse = Apb1Simulated();
+  EXPECT_EQ(warehouse.backend(), BackendKind::kSimulated);
+  EXPECT_EQ(warehouse.materialized(), nullptr);
+  EXPECT_EQ(warehouse.sim_config().num_disks, 20);
+  EXPECT_EQ(warehouse.sim_config().num_nodes, 4);
+  EXPECT_EQ(warehouse.sim_config().seed, 7u);
+}
+
+TEST(WarehouseBackendDeathTest, ServeDiesOnASimulatedWarehouse) {
+  const Warehouse warehouse = Apb1Simulated();
+  const std::vector<Arrival> arrivals = {
+      {.vt = 0, .stream = 0, .query = apb1_queries::OneMonth(1)}};
+  EXPECT_DEATH(warehouse.Serve(arrivals, ServingConfig{}),
+               "Serve\\(\\) needs BackendKind::kMaterialized");
+}
+
+TEST(WarehouseBackendDeathTest, SimConfigDiesOnAMaterializedWarehouse) {
+  const Warehouse warehouse = TinyMaterialized();
+  EXPECT_EQ(warehouse.backend(), BackendKind::kMaterialized);
+  EXPECT_DEATH(warehouse.sim_config(),
+               "sim_config\\(\\) needs BackendKind::kSimulated");
+}
+
+// ---------------------------------------------------------------------------
 // WorkloadDriver plumbing: drivers target the façade, on either backend.
 
 TEST(WarehouseDriverTest, DriverRunsAgainstSimulatedFacade) {
