@@ -9,18 +9,20 @@
 namespace mdw {
 
 /// The weighted LRU eviction core shared by the simulator's
-/// granule-level BufferManager and the storage layer's page-granular
-/// BufferPool: a recency list over {key -> value} entries, each costing
-/// `weight` units against `capacity`, with hit/miss/eviction counters.
+/// granule-level BufferManager, the storage layer's page-granular
+/// BufferPool and the PlanCache: a recency list over {key -> value}
+/// entries, each costing `weight` units against `capacity`, with
+/// hit/miss/eviction counters.
 ///
 /// The cache never evicts on its own — callers run EvictToFit() before
 /// Insert() so *they* decide victim eligibility (the BufferPool must
-/// skip pinned frames; the simulator evicts anything). Entries live in
-/// std::list nodes, so Value pointers returned by Get/Peek/Insert stay
-/// valid until the entry is erased or the cache is reset.
+/// skip pinned frames; the simulator and the plan cache evict anything).
+/// Entries live in std::list nodes, so Value pointers returned by
+/// Get/Peek/Insert stay valid until the entry is erased or the cache is
+/// cleared.
 ///
-/// Not thread-safe; callers layer their own locking (the BufferPool) or
-/// run single-threaded (the simulator's event loop).
+/// Not thread-safe; callers layer their own locking (the BufferPool, the
+/// PlanCache) or run single-threaded (the simulator's event loop).
 template <typename Key, typename Value>
 class LruCache {
  public:
@@ -110,12 +112,18 @@ class LruCache {
     map_.erase(it);
   }
 
-  /// Drops every entry and zeroes the counters, keeping the capacity —
-  /// reuse across runs without reconstructing.
-  void Reset() {
+  /// Drops every entry (no eviction counted), keeping the capacity and
+  /// the counters.
+  void Clear() {
     entries_.clear();
     map_.clear();
     used_ = 0;
+  }
+
+  /// Clear() plus zeroed counters — reuse across runs without
+  /// reconstructing.
+  void Reset() {
+    Clear();
     hits_ = misses_ = evictions_ = 0;
   }
 

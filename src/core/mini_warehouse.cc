@@ -39,23 +39,30 @@ void CutRanges(const std::vector<RowRange>& ranges, std::int64_t grain,
   }
 }
 
-/// Measure readers the scan kernels are templated on — RAM vectors or
-/// per-chunk buffer-pool cursors — so the hot loops stay free of
-/// per-row virtual dispatch.
-struct RamMeasures {
-  const std::vector<std::int64_t>* units;
-  const std::vector<std::int64_t>* dollars;
-  std::int64_t Units(std::int64_t row) {
-    return (*units)[static_cast<std::size_t>(row)];
+/// A column reader over an in-RAM vector, with SegmentStore::Cursor's
+/// interface: At() indexes the vector (so _GLIBCXX_ASSERTIONS checks
+/// every read), reads never fail and there is nothing to prefetch.
+class RamCursor {
+ public:
+  explicit RamCursor(const std::vector<std::int64_t>& column)
+      : column_(&column) {}
+  std::int64_t At(std::int64_t i) const {
+    return (*column_)[static_cast<std::size_t>(i)];
   }
-  std::int64_t Dollars(std::int64_t row) {
-    return (*dollars)[static_cast<std::size_t>(row)];
-  }
+  void PrefetchRun(std::int64_t /*begin*/, std::int64_t /*end*/) {}
+  Status status() const { return Status::Ok(); }
+
+ private:
+  const std::vector<std::int64_t>* column_;
 };
 
-struct PagedMeasures {
-  storage::SegmentStore::Cursor units;
-  storage::SegmentStore::Cursor dollars;
+/// The measure pair the scan kernels are templated on, over RAM readers
+/// or buffer-pool cursors alike, so the hot loops stay free of per-row
+/// virtual dispatch.
+template <typename Column>
+struct Measures {
+  Column units;
+  Column dollars;
   std::int64_t Units(std::int64_t row) { return units.At(row); }
   std::int64_t Dollars(std::int64_t row) { return dollars.At(row); }
 };
@@ -94,85 +101,44 @@ void ProcessRows(const IndexSet& indexes, std::int64_t begin,
                  std::int64_t end, const Accesses& accesses, Measures& m,
                  Grouping& g, MiniWarehouse::Partial* partial) {
   partial->rows_scanned += end - begin;
-  auto& agg = partial->result;
-  if (accesses.empty()) {
-    // Q1/Q3 clustered hits: fragment membership IS the filter — every row
-    // of the range is a hit.
-    for (std::int64_t row = begin; row < end; ++row) {
-      ++agg.rows;
-      const std::int64_t units = m.Units(row);
-      const std::int64_t dollars = m.Dollars(row);
-      agg.units_sold += units;
-      agg.dollar_sales_cents += dollars;
-      g.Add(row, units, dollars);
-    }
-    return;
-  }
-  // Bitmap filter over this range only: O(range), never O(table).
-  BitVector filter(end - begin);
-  filter.SetAll();
-  for (const auto& a : accesses) {
-    BitVector pred_rows(end - begin);
-    for (const auto value : a.pred->values) {
-      if (a.same_ancestor) {
-        pred_rows |= indexes.SelectWithinFragmentSlice(
-            a.pred->dim, a.pred->depth, value, a.frag_depth, begin, end);
-      } else {
-        pred_rows |= indexes.SelectSlice(a.pred->dim, a.pred->depth, value,
-                                         begin, end);
-      }
-    }
-    filter &= pred_rows;
-  }
-  filter.ForEachSetBit([&](std::int64_t i) {
-    const std::int64_t row = begin + i;
+  // The hits sum into locals, added to the partial once, so the row loops
+  // keep the sums in registers whether or not the compiler inlines this
+  // kernel into its caller.
+  MiniWarehouse::AggregateResult agg;
+  const auto hit = [&](std::int64_t row) {
     ++agg.rows;
     const std::int64_t units = m.Units(row);
     const std::int64_t dollars = m.Dollars(row);
     agg.units_sold += units;
     agg.dollar_sales_cents += dollars;
     g.Add(row, units, dollars);
-  });
-}
-
-/// Sums the measures of the set rows (the bitmap-index execution tail).
-template <typename Measures>
-MiniWarehouse::AggregateResult SumSetBits(const BitVector& hits, Measures& m) {
-  MiniWarehouse::AggregateResult result;
-  hits.ForEachSetBit([&](std::int64_t row) {
-    ++result.rows;
-    result.units_sold += m.Units(row);
-    result.dollar_sales_cents += m.Dollars(row);
-  });
-  return result;
-}
-
-/// The reference full-scan kernel: applies the predicates against the
-/// hierarchies row by row, reading dimension leaves through `leaf_of`.
-template <typename LeafOf, typename Measures>
-MiniWarehouse::AggregateResult FullScanRows(const StarSchema& schema,
-                                            const StarQuery& query,
-                                            std::int64_t rows,
-                                            LeafOf&& leaf_of, Measures& m) {
-  MiniWarehouse::AggregateResult result;
-  for (std::int64_t row = 0; row < rows; ++row) {
-    bool match = true;
-    for (const auto& pred : query.predicates()) {
-      const auto& h = schema.dimension(pred.dim).hierarchy();
-      const std::int64_t value =
-          h.AncestorOfLeaf(leaf_of(pred.dim, row), pred.depth);
-      if (std::find(pred.values.begin(), pred.values.end(), value) ==
-          pred.values.end()) {
-        match = false;
-        break;
+  };
+  if (accesses.empty()) {
+    // Q1/Q3 clustered hits: fragment membership IS the filter — every row
+    // of the range is a hit.
+    for (std::int64_t row = begin; row < end; ++row) hit(row);
+  } else {
+    // Bitmap filter over this range only: O(range), never O(table).
+    BitVector filter(end - begin);
+    filter.SetAll();
+    for (const auto& a : accesses) {
+      BitVector pred_rows(end - begin);
+      for (const auto value : a.pred->values) {
+        if (a.same_ancestor) {
+          pred_rows |= indexes.SelectWithinFragmentSlice(
+              a.pred->dim, a.pred->depth, value, a.frag_depth, begin, end);
+        } else {
+          pred_rows |= indexes.SelectSlice(a.pred->dim, a.pred->depth, value,
+                                           begin, end);
+        }
       }
+      filter &= pred_rows;
     }
-    if (!match) continue;
-    ++result.rows;
-    result.units_sold += m.Units(row);
-    result.dollar_sales_cents += m.Dollars(row);
+    filter.ForEachSetBit([&](std::int64_t i) { hit(begin + i); });
   }
-  return result;
+  partial->result.rows += agg.rows;
+  partial->result.units_sold += agg.units_sold;
+  partial->result.dollar_sales_cents += agg.dollar_sales_cents;
 }
 
 }  // namespace
@@ -223,12 +189,13 @@ MiniWarehouse::MiniWarehouse(StarSchema schema, std::uint64_t seed,
     // Measure prefix sums in the clustered order, so any coalesced run of
     // fully-covered fragments [b, e) aggregates as P[e] - P[b].
     const auto rows = static_cast<std::size_t>(row_count());
-    units_prefix_.assign(rows + 1, 0);
-    dollars_prefix_.assign(rows + 1, 0);
-    for (std::size_t r = 0; r < rows; ++r) {
-      units_prefix_[r + 1] = units_prefix_[r] + units_sold_[r];
-      dollars_prefix_[r + 1] = dollars_prefix_[r] + dollar_sales_cents_[r];
-    }
+    const auto prefix_sums = [rows](const std::vector<std::int64_t>& values) {
+      std::vector<std::int64_t> sums(rows + 1, 0);
+      for (std::size_t r = 0; r < rows; ++r) sums[r + 1] = sums[r] + values[r];
+      return sums;
+    };
+    measures_[kUnitsPrefix] = prefix_sums(measures_[kUnits]);
+    measures_[kDollarsPrefix] = prefix_sums(measures_[kDollars]);
     summaries_enabled_ = true;
   }
   if (!storage.path.empty()) BuildPagedStore(seed, storage);
@@ -285,26 +252,17 @@ void MiniWarehouse::BuildPagedStore(std::uint64_t seed,
           {f, frag_offsets_[rank] - base, frag_offsets_[rank + 1] - base});
     }
   }
-  for (const auto& column : facts_.columns) in.columns.push_back(&column);
-  in.columns.push_back(&units_sold_);
-  in.columns.push_back(&dollar_sales_cents_);
-  if (summaries_enabled_) {
-    in.columns.push_back(&units_prefix_);
-    in.columns.push_back(&dollars_prefix_);
-  }
+  // Segment column c holds column id c; the prefix sums exist only with
+  // summaries.
+  const int last = ColumnOf(summaries_enabled_ ? kDollarsPrefix : kDollars);
+  for (int c = 0; c <= last; ++c) in.columns.push_back(&RamColumn(c));
   store_ = std::make_unique<storage::SegmentStore>(options, in);
 
   // Drop the in-RAM copies — the segments are the backing truth now. The
   // bitmap indexes (built over the same clustered order) stay resident:
   // only the fact/measure/prefix columns are paged.
-  for (auto& column : facts_.columns) {
-    column.clear();
-    column.shrink_to_fit();
-  }
-  units_sold_ = {};
-  dollar_sales_cents_ = {};
-  units_prefix_ = {};
-  dollars_prefix_ = {};
+  for (auto& column : facts_.columns) column = {};
+  for (auto& column : measures_) column = {};
 }
 
 void MiniWarehouse::Populate(std::uint64_t seed) {
@@ -324,8 +282,8 @@ void MiniWarehouse::Populate(std::uint64_t seed) {
   const auto reserve_rows = static_cast<std::size_t>(std::min<double>(
       static_cast<double>(max_rows), expected + slack + 64.0));
   for (auto& column : facts_.columns) column.reserve(reserve_rows);
-  units_sold_.reserve(reserve_rows);
-  dollar_sales_cents_.reserve(reserve_rows);
+  measures_[kUnits].reserve(reserve_rows);
+  measures_[kDollars].reserve(reserve_rows);
 
   Rng rng(seed);
   // Enumerate every leaf-value combination (mixed radix over the leaf
@@ -342,8 +300,8 @@ void MiniWarehouse::Populate(std::uint64_t seed) {
         facts_.columns[static_cast<std::size_t>(d)].push_back(
             combo[static_cast<std::size_t>(d)]);
       }
-      units_sold_.push_back(rng.Uniform(1, 100));
-      dollar_sales_cents_.push_back(rng.Uniform(100, 100'000));
+      measures_[kUnits].push_back(rng.Uniform(1, 100));
+      measures_[kDollars].push_back(rng.Uniform(100, 100'000));
     }
     // Advance the odometer.
     for (int d = dims - 1; d >= 0; --d) {
@@ -454,8 +412,8 @@ void MiniWarehouse::ClusterByFragment(std::vector<FragAttr> cluster_attrs,
     column = std::move(permuted);
   };
   for (auto& column : facts_.columns) permute(column);
-  permute(units_sold_);
-  permute(dollar_sales_cents_);
+  permute(measures_[kUnits]);
+  permute(measures_[kDollars]);
 }
 
 bool MiniWarehouse::ClusteredFor(const Fragmentation& fragmentation) const {
@@ -504,42 +462,72 @@ double MiniWarehouse::MdhfExecution::ShardSkew() const {
          static_cast<double>(total);
 }
 
+template <typename Fn>
+decltype(auto) MiniWarehouse::WithColumns(Fn&& fn) const {
+  if (store_ == nullptr) {
+    return fn([this](int column, storage::IoCounters* /*io*/,
+                     const CancellationToken& /*cancel*/) {
+      return RamCursor(RamColumn(column));
+    });
+  }
+  return fn([store = store_.get()](int column, storage::IoCounters* io,
+                                   const CancellationToken& cancel) {
+    return store->MakeCursor(column, io, cancel);
+  });
+}
+
+template <typename OnMatch>
+void MiniWarehouse::ReferenceScan(const StarQuery& query, DimId group_dim,
+                                  const OnMatch& on_match) const {
+  WithColumns([&](const auto& open) {
+    // One reader per dimension; a reader touches nothing until read.
+    std::vector<decltype(open(0, nullptr, {}))> leaves;
+    for (DimId d = 0; d < schema_.num_dimensions(); ++d) {
+      leaves.push_back(open(d, nullptr, {}));
+    }
+    Measures m{open(ColumnOf(kUnits), nullptr, {}),
+               open(ColumnOf(kDollars), nullptr, {})};
+    for (std::int64_t row = 0; row < row_count_; ++row) {
+      bool match = true;
+      for (const auto& pred : query.predicates()) {
+        const auto& h = schema_.dimension(pred.dim).hierarchy();
+        const std::int64_t value = h.AncestorOfLeaf(
+            leaves[static_cast<std::size_t>(pred.dim)].At(row), pred.depth);
+        if (std::find(pred.values.begin(), pred.values.end(), value) ==
+            pred.values.end()) {
+          match = false;
+          break;
+        }
+      }
+      if (!match) continue;
+      const std::int64_t units = m.Units(row);
+      const std::int64_t dollars = m.Dollars(row);
+      on_match(group_dim < 0
+                   ? 0
+                   : leaves[static_cast<std::size_t>(group_dim)].At(row),
+               units, dollars);
+    }
+    // The reference paths are ground truth, not serving paths: a storage
+    // error here means the test substrate itself is broken, so fail fast
+    // instead of returning a silently-zeroed baseline.
+    for (const auto& reader : leaves) {
+      MDW_CHECK(reader.status().ok(), "reference scan hit a storage error");
+    }
+    MDW_CHECK(m.units.status().ok() && m.dollars.status().ok(),
+              "reference scan hit a storage error");
+  });
+}
+
 MiniWarehouse::AggregateResult MiniWarehouse::ExecuteFullScan(
     const StarQuery& query) const {
-  if (store_ == nullptr) {
-    RamMeasures m{&units_sold_, &dollar_sales_cents_};
-    const auto leaf_of = [&](DimId d, std::int64_t row) {
-      return facts_.columns[static_cast<std::size_t>(d)]
-                           [static_cast<std::size_t>(row)];
-    };
-    return FullScanRows(schema_, query, row_count(), leaf_of, m);
-  }
-  // File-backed: one pool cursor per predicate dimension + the measures.
-  std::vector<std::pair<DimId, storage::SegmentStore::Cursor>> dims;
-  for (const auto& pred : query.predicates()) {
-    dims.emplace_back(pred.dim,
-                      store_->MakeCursor(store_->ColDim(pred.dim), nullptr));
-  }
-  const auto leaf_of = [&](DimId d, std::int64_t row) {
-    for (auto& [dim, cursor] : dims) {
-      if (dim == d) return cursor.At(row);
-    }
-    MDW_CHECK(false, "predicate dimension without a cursor");
-    return std::int64_t{0};
-  };
-  PagedMeasures m{store_->MakeCursor(store_->ColUnits(), nullptr),
-                  store_->MakeCursor(store_->ColDollars(), nullptr)};
-  const AggregateResult result =
-      FullScanRows(schema_, query, row_count(), leaf_of, m);
-  // The reference paths are ground truth, not serving paths: a storage
-  // error here means the test substrate itself is broken, so fail fast
-  // instead of returning a silently-zeroed baseline.
-  for (auto& [dim, cursor] : dims) {
-    MDW_CHECK(cursor.status().ok(),
-              "reference full scan hit a storage error");
-  }
-  MDW_CHECK(m.units.status().ok() && m.dollars.status().ok(),
-            "reference full scan hit a storage error");
+  AggregateResult result;
+  ReferenceScan(query, /*group_dim=*/-1,
+                [&](std::int64_t /*group_leaf*/, std::int64_t units,
+                    std::int64_t dollars) {
+                  ++result.rows;
+                  result.units_sold += units;
+                  result.dollar_sales_cents += dollars;
+                });
   return result;
 }
 
@@ -555,65 +543,11 @@ std::vector<GroupRow> MiniWarehouse::ExecuteFullScanGrouped(
   GroupAccum acc;
   acc.Reset(gh.Cardinality(gb.depth));
   const std::int64_t leaves_per = gh.LeavesPer(gb.depth);
-
-  const auto scan = [&](auto&& leaf_of, auto& m) {
-    for (std::int64_t row = 0; row < row_count(); ++row) {
-      bool match = true;
-      for (const auto& pred : query.predicates()) {
-        const auto& h = schema_.dimension(pred.dim).hierarchy();
-        const std::int64_t value =
-            h.AncestorOfLeaf(leaf_of(pred.dim, row), pred.depth);
-        if (std::find(pred.values.begin(), pred.values.end(), value) ==
-            pred.values.end()) {
-          match = false;
-          break;
-        }
-      }
-      if (!match) continue;
-      acc.Tally(leaf_of(gb.dim, row) / leaves_per, m.Units(row),
-                m.Dollars(row));
-    }
-  };
-
-  if (store_ == nullptr) {
-    RamMeasures m{&units_sold_, &dollar_sales_cents_};
-    const auto leaf_of = [&](DimId d, std::int64_t row) {
-      return facts_.columns[static_cast<std::size_t>(d)]
-                           [static_cast<std::size_t>(row)];
-    };
-    scan(leaf_of, m);
-    return acc.Compact();
-  }
-  // File-backed: cursors for the predicate dimensions plus (if distinct)
-  // the group dimension.
-  std::vector<std::pair<DimId, storage::SegmentStore::Cursor>> dims;
-  for (const auto& pred : query.predicates()) {
-    dims.emplace_back(pred.dim,
-                      store_->MakeCursor(store_->ColDim(pred.dim), nullptr));
-  }
-  bool have_group_dim = false;
-  for (const auto& [dim, cursor] : dims) have_group_dim |= dim == gb.dim;
-  if (!have_group_dim) {
-    dims.emplace_back(gb.dim,
-                      store_->MakeCursor(store_->ColDim(gb.dim), nullptr));
-  }
-  const auto leaf_of = [&](DimId d, std::int64_t row) {
-    for (auto& [dim, cursor] : dims) {
-      if (dim == d) return cursor.At(row);
-    }
-    MDW_CHECK(false, "dimension without a cursor");
-    return std::int64_t{0};
-  };
-  PagedMeasures m{store_->MakeCursor(store_->ColUnits(), nullptr),
-                  store_->MakeCursor(store_->ColDollars(), nullptr)};
-  scan(leaf_of, m);
-  // Ground truth, not a serving path: fail fast on storage errors.
-  for (auto& [dim, cursor] : dims) {
-    MDW_CHECK(cursor.status().ok(),
-              "grouped reference scan hit a storage error");
-  }
-  MDW_CHECK(m.units.status().ok() && m.dollars.status().ok(),
-            "grouped reference scan hit a storage error");
+  ReferenceScan(query, gb.dim,
+                [&](std::int64_t group_leaf, std::int64_t units,
+                    std::int64_t dollars) {
+                  acc.Tally(group_leaf / leaves_per, units, dollars);
+                });
   return acc.Compact();
 }
 
@@ -628,16 +562,20 @@ MiniWarehouse::AggregateResult MiniWarehouse::ExecuteWithBitmaps(
     }
     hits &= pred_rows;
   }
-  if (store_ == nullptr) {
-    RamMeasures m{&units_sold_, &dollar_sales_cents_};
-    return SumSetBits(hits, m);
-  }
-  PagedMeasures m{store_->MakeCursor(store_->ColUnits(), nullptr),
-                  store_->MakeCursor(store_->ColDollars(), nullptr)};
-  const AggregateResult result = SumSetBits(hits, m);
-  MDW_CHECK(m.units.status().ok() && m.dollars.status().ok(),
-            "bitmap reference execution hit a storage error");
-  return result;
+  return WithColumns([&](const auto& open) {
+    Measures m{open(ColumnOf(kUnits), nullptr, {}),
+               open(ColumnOf(kDollars), nullptr, {})};
+    AggregateResult result;
+    hits.ForEachSetBit([&](std::int64_t row) {
+      ++result.rows;
+      result.units_sold += m.Units(row);
+      result.dollar_sales_cents += m.Dollars(row);
+    });
+    // Ground truth, not a serving path: fail fast on storage errors.
+    MDW_CHECK(m.units.status().ok() && m.dollars.status().ok(),
+              "bitmap reference execution hit a storage error");
+    return result;
+  });
 }
 
 MiniWarehouse::MdhfExecution MiniWarehouse::ExecuteWithPlan(
@@ -802,50 +740,33 @@ void MiniWarehouse::ScanChunk(const RowRange& chunk,
                               const CancellationToken& cancel,
                               Partial* partial, GroupAccum* groups) const {
   const auto [begin, end] = chunk;
-  if (store_ == nullptr) {
-    RamMeasures m{&units_sold_, &dollar_sales_cents_};
+  WithColumns([&](const auto& open) {
+    // The chunk's readers count their I/O straight into its partial.
+    Measures m{open(ColumnOf(kUnits), partial, cancel),
+               open(ColumnOf(kDollars), partial, cancel)};
+    if (accesses.empty()) {
+      // Unfiltered range: every page will be touched, so read ahead in
+      // coalesced runs. Filtered scans skip prefetch — they fault only
+      // the pages that actually hold hits.
+      m.units.PrefetchRun(begin, end);
+      m.dollars.PrefetchRun(begin, end);
+    }
     if (groups == nullptr) {
       NoGrouping g;
       ProcessRows(*indexes_, begin, end, accesses, m, g, partial);
-      return;
+    } else {
+      // Grouped scans read the group dimension's leaf column through its
+      // own reader (its I/O and status fold into the same partial).
+      auto keys = open(group.dim, partial, cancel);
+      if (accesses.empty()) keys.PrefetchRun(begin, end);
+      const auto leaf = [&keys](std::int64_t row) { return keys.At(row); };
+      RowGrouping<decltype(leaf)> g{leaf, group.leaves_per, groups};
+      ProcessRows(*indexes_, begin, end, accesses, m, g, partial);
+      partial->status.Update(keys.status());
     }
-    const std::vector<std::int64_t>& keys =
-        facts_.columns[static_cast<std::size_t>(group.dim)];
-    const auto leaf = [&keys](std::int64_t row) {
-      return keys[static_cast<std::size_t>(row)];
-    };
-    RowGrouping<decltype(leaf)> g{leaf, group.leaves_per, groups};
-    ProcessRows(*indexes_, begin, end, accesses, m, g, partial);
-    return;
-  }
-  // The chunk's cursors count their I/O straight into its partial.
-  PagedMeasures m{store_->MakeCursor(store_->ColUnits(), partial, cancel),
-                  store_->MakeCursor(store_->ColDollars(), partial, cancel)};
-  if (accesses.empty()) {
-    // Unfiltered range: every page will be touched, so read ahead in
-    // coalesced runs. Filtered scans skip prefetch — they fault only the
-    // pages that actually hold hits.
-    m.units.PrefetchRun(begin, end);
-    m.dollars.PrefetchRun(begin, end);
-  }
-  if (groups == nullptr) {
-    NoGrouping g;
-    ProcessRows(*indexes_, begin, end, accesses, m, g, partial);
-  } else {
-    // Grouped scans read the group dimension's leaf column through its
-    // own cursor (its I/O and status fold into the same partial).
-    auto key_cursor =
-        store_->MakeCursor(store_->ColDim(group.dim), partial, cancel);
-    if (accesses.empty()) key_cursor.PrefetchRun(begin, end);
-    const auto leaf = [&key_cursor](std::int64_t row) {
-      return key_cursor.At(row);
-    };
-    RowGrouping<decltype(leaf)> g{leaf, group.leaves_per, groups};
-    ProcessRows(*indexes_, begin, end, accesses, m, g, partial);
-    partial->status.Update(key_cursor.status());
-  }
-  partial->status.Update(m.units.status());
-  partial->status.Update(m.dollars.status());
+    partial->status.Update(m.units.status());
+    partial->status.Update(m.dollars.status());
+  });
 }
 
 void MiniWarehouse::FoldSummaryRun(const RowRange& run,
@@ -854,24 +775,17 @@ void MiniWarehouse::FoldSummaryRun(const RowRange& run,
                                    GroupAccum* groups) const {
   partial->result.rows += run.rows();
   partial->rows_summarized += run.rows();
-  std::int64_t du = 0;
-  std::int64_t dd = 0;
-  if (store_ == nullptr) {
-    const auto b = static_cast<std::size_t>(run.begin);
-    const auto e = static_cast<std::size_t>(run.end);
-    du = units_prefix_[e] - units_prefix_[b];
-    dd = dollars_prefix_[e] - dollars_prefix_[b];
-  } else {
-    // File-backed: the prefix-sum columns answer the covered run from at
-    // most two pages per measure.
-    auto units = store_->MakeCursor(store_->ColUnitsPrefix(), partial, cancel);
-    auto dollars =
-        store_->MakeCursor(store_->ColDollarsPrefix(), partial, cancel);
-    du = units.At(run.end) - units.At(run.begin);
-    dd = dollars.At(run.end) - dollars.At(run.begin);
+  // The prefix-sum columns answer the covered run from two values per
+  // measure (file-backed: at most two pages each).
+  const auto [du, dd] = WithColumns([&](const auto& open) {
+    auto units = open(ColumnOf(kUnitsPrefix), partial, cancel);
+    auto dollars = open(ColumnOf(kDollarsPrefix), partial, cancel);
+    const std::int64_t u = units.At(run.end) - units.At(run.begin);
+    const std::int64_t d = dollars.At(run.end) - dollars.At(run.begin);
     partial->status.Update(units.status());
     partial->status.Update(dollars.status());
-  }
+    return std::pair{u, d};
+  });
   partial->result.units_sold += du;
   partial->result.dollar_sales_cents += dd;
   if (groups != nullptr && group_key >= 0) {

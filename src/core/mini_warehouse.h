@@ -1,6 +1,7 @@
 #ifndef MDW_CORE_MINI_WAREHOUSE_H_
 #define MDW_CORE_MINI_WAREHOUSE_H_
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -392,6 +393,36 @@ class MiniWarehouse {
   /// opens them behind the buffer pool, and drops the in-RAM columns.
   void BuildPagedStore(std::uint64_t seed,
                        const storage::StoreOptions& options);
+  /// Column ids, one order for the RAM vectors and the segment files
+  /// (BuildPagedStore writes the columns in it): dimension d's leaf
+  /// column is d, then the measure columns in Measure order — the two
+  /// prefix sums exist only with summaries.
+  enum Measure : int { kUnits, kDollars, kUnitsPrefix, kDollarsPrefix };
+  int ColumnOf(Measure m) const { return schema_.num_dimensions() + m; }
+  /// The in-RAM vector of column id `column`.
+  const std::vector<std::int64_t>& RamColumn(int column) const {
+    const int dims = schema_.num_dimensions();
+    return column < dims ? facts_.columns[static_cast<std::size_t>(column)]
+                         : measures_[static_cast<std::size_t>(column - dims)];
+  }
+  /// Returns fn(open), where open(column, io, cancel) opens a reader of
+  /// column id `column` with SegmentStore::Cursor's interface — At(row),
+  /// PrefetchRun(begin, end), status(): a view of the in-RAM vector
+  /// (reads never fail, prefetch does nothing) or, file-backed, a
+  /// buffer-pool cursor that counts its I/O into `io` (nullable) and caps
+  /// its retries by `cancel`. Every read path goes through it, so fn's
+  /// body is written once for both stores.
+  template <typename Fn>
+  decltype(auto) WithColumns(Fn&& fn) const;
+  /// The row-by-row reference scan of ExecuteFullScan and
+  /// ExecuteFullScanGrouped: tests every fact row against the predicates
+  /// through the hierarchies (nothing from the fragment directory, the
+  /// summaries or the bitmaps) and calls on_match(group_leaf, units,
+  /// dollars) for each match, group_leaf being the row's leaf of
+  /// `group_dim` (0 when group_dim < 0). A storage error aborts.
+  template <typename OnMatch>
+  void ReferenceScan(const StarQuery& query, DimId group_dim,
+                     const OnMatch& on_match) const;
   void ResolveBitmapAccesses(const StarQuery& query, const QueryPlan& plan,
                              std::vector<BitmapAccess>* out) const;
   /// ExecuteWithPlan after its checks and entry checkpoint: fills `exec`
@@ -401,11 +432,11 @@ class MiniWarehouse {
                         const ExecOptions& options, MdhfExecution* exec) const;
   /// Aggregates rows [begin, end) under the accesses' bitmap filters
   /// (evaluated over the range only) into `partial`, reading measures
-  /// from RAM or through per-chunk buffer-pool cursors that count their
-  /// I/O into `partial`. One call per scan chunk; safe to run
-  /// concurrently on distinct partials. With `groups` non-null every hit
-  /// is additionally tallied into its per-row group key (group.dim leaf
-  /// / group.leaves_per).
+  /// through per-chunk column readers that count their I/O into
+  /// `partial`. One call per scan chunk; safe to run concurrently on
+  /// distinct partials. With `groups` non-null every hit is additionally
+  /// tallied into its per-row group key (group.dim leaf /
+  /// group.leaves_per).
   void ScanChunk(const RowRange& chunk,
                  const std::vector<BitmapAccess>& accesses,
                  const GroupContext& group, const CancellationToken& cancel,
@@ -430,11 +461,13 @@ class MiniWarehouse {
   StarSchema schema_;
   std::uint64_t layout_id_ = 0;
   std::int64_t row_count_ = 0;
-  /// In-RAM columns; emptied (but the store stays authoritative through
-  /// store_) in file-backed mode.
+  /// In-RAM columns, indexed by Measure for the measures; emptied (but
+  /// the store stays authoritative through store_) in file-backed mode.
+  /// The prefix sums, in clustered row order (size row_count() + 1,
+  /// P[0] = 0: the sum over physical rows [b, e) is P[e] - P[b]), are
+  /// built only with summaries enabled.
   FactColumns facts_;
-  std::vector<std::int64_t> units_sold_;
-  std::vector<std::int64_t> dollar_sales_cents_;
+  std::array<std::vector<std::int64_t>, 4> measures_;
   std::unique_ptr<IndexSet> indexes_;
   /// File-backed mode: the page-aligned segment files and their buffer
   /// pool; nullptr for the in-RAM store.
@@ -456,12 +489,7 @@ class MiniWarehouse {
   std::vector<std::int64_t> shard_row_begin_;     ///< size num_shards_+1
   std::vector<std::vector<FragId>> shard_fragments_;
 
-  /// Measure prefix sums in clustered row order (size row_count() + 1,
-  /// P[0] = 0): sum over physical rows [b, e) is P[e] - P[b]. Built only
-  /// with summaries enabled.
   bool summaries_enabled_ = false;
-  std::vector<std::int64_t> units_prefix_;
-  std::vector<std::int64_t> dollars_prefix_;
 };
 
 }  // namespace mdw

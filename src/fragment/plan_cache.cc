@@ -1,6 +1,8 @@
 #include "fragment/plan_cache.h"
 
 #include <algorithm>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -55,7 +57,10 @@ std::string CanonicalQuerySignature(const StarQuery& query) {
   return signature;
 }
 
-PlanCache::PlanCache(std::size_t capacity) : capacity_(capacity) {
+PlanCache::PlanCache(std::size_t capacity)
+    : capacity_(capacity),
+      cache_(static_cast<std::int64_t>(std::min<std::size_t>(
+          capacity, std::numeric_limits<std::int64_t>::max()))) {
   MDW_CHECK(capacity_ >= 1, "plan cache capacity must be >= 1");
 }
 
@@ -64,13 +69,7 @@ std::shared_ptr<const QueryPlan> PlanCache::GetOrPlan(
   const std::string key = CanonicalQuerySignature(query);
   {
     std::lock_guard<std::mutex> lock(mu_);
-    const auto it = by_key_.find(key);
-    if (it != by_key_.end()) {
-      ++hits_;
-      lru_.splice(lru_.begin(), lru_, it->second);
-      return it->second->second;
-    }
-    ++misses_;
+    if (const auto* plan = cache_.Get(key)) return *plan;
   }
 
   // Derive outside the lock: planning is the expensive part, and a plan
@@ -78,51 +77,38 @@ std::shared_ptr<const QueryPlan> PlanCache::GetOrPlan(
   auto plan = std::make_shared<const QueryPlan>(planner.Plan(query));
 
   std::lock_guard<std::mutex> lock(mu_);
-  const auto it = by_key_.find(key);
-  if (it != by_key_.end()) {
+  if (const auto* resident = cache_.Peek(key)) {
     // Lost the race to another thread; keep the resident entry.
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return it->second->second;
+    cache_.Touch(key);
+    return *resident;
   }
-  lru_.emplace_front(key, std::move(plan));
-  by_key_[key] = lru_.begin();
-  if (lru_.size() > capacity_) {
-    by_key_.erase(lru_.back().first);
-    lru_.pop_back();
-    ++evictions_;
-  }
-  return lru_.front().second;
+  cache_.EvictToFit(
+      1, [](const auto&) { return true; }, [](const auto&, const auto&) {});
+  return *cache_.Insert(key, std::move(plan), /*weight=*/1);
 }
 
 std::shared_ptr<const QueryPlan> PlanCache::Lookup(
     const StarQuery& query) const {
   const std::string key = CanonicalQuerySignature(query);
   std::lock_guard<std::mutex> lock(mu_);
-  const auto it = by_key_.find(key);
-  if (it == by_key_.end()) {
-    ++misses_;
-    return nullptr;
-  }
-  ++hits_;
-  lru_.splice(lru_.begin(), lru_, it->second);
-  return it->second->second;
+  const auto* plan = cache_.Get(key);
+  return plan == nullptr ? nullptr : *plan;
 }
 
 PlanCache::Stats PlanCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   Stats s;
-  s.hits = hits_;
-  s.misses = misses_;
-  s.evictions = evictions_;
-  s.size = lru_.size();
+  s.hits = static_cast<std::uint64_t>(cache_.hits());
+  s.misses = static_cast<std::uint64_t>(cache_.misses());
+  s.evictions = static_cast<std::uint64_t>(cache_.evictions());
+  s.size = static_cast<std::size_t>(cache_.size());
   s.capacity = capacity_;
   return s;
 }
 
 void PlanCache::Clear() {
   std::lock_guard<std::mutex> lock(mu_);
-  lru_.clear();
-  by_key_.clear();
+  cache_.Clear();
 }
 
 }  // namespace mdw

@@ -2,13 +2,11 @@
 #define MDW_FRAGMENT_PLAN_CACHE_H_
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
-#include <utility>
 
+#include "common/lru_cache.h"
 #include "fragment/query_planner.h"
 #include "fragment/star_query.h"
 
@@ -33,7 +31,8 @@ std::string CanonicalQuerySignature(const StarQuery& query);
 ///
 /// Entries are handed out as shared_ptr<const QueryPlan>, so a cached
 /// plan stays valid even after eviction or cache destruction — eviction
-/// only drops the cache's own reference. All methods are thread-safe.
+/// only drops the cache's own reference. Recency and the counters are
+/// the shared mdw::LruCache core's. All methods are thread-safe.
 class PlanCache {
  public:
   /// Hit/miss observability snapshot (see Warehouse::plan_cache_stats()).
@@ -72,16 +71,10 @@ class PlanCache {
   void Clear();
 
  private:
-  using LruList =
-      std::list<std::pair<std::string, std::shared_ptr<const QueryPlan>>>;
-
   std::size_t capacity_;
   mutable std::mutex mu_;
-  mutable LruList lru_;  ///< front = most recently used
-  std::unordered_map<std::string, LruList::iterator> by_key_;
-  mutable std::uint64_t hits_ = 0;
-  mutable std::uint64_t misses_ = 0;
-  std::uint64_t evictions_ = 0;
+  /// Every entry weighs 1; Lookup refreshes recency, hence mutable.
+  mutable LruCache<std::string, std::shared_ptr<const QueryPlan>> cache_;
 };
 
 }  // namespace mdw

@@ -21,17 +21,16 @@ constexpr std::int64_t kMaxBackoffUs = 10'000;
 
 BufferPool::BufferPool(std::int64_t capacity_pages, std::int64_t page_size,
                        StorageRetryPolicy retry)
-    : capacity_pages_(capacity_pages),
+    : capacity_pages_(std::max<std::int64_t>(capacity_pages, 0)),
       page_size_(page_size),
       retry_(retry),
-      cache_(capacity_pages) {
-  MDW_CHECK(capacity_pages >= 1, "buffer pool needs at least one frame");
+      cache_(capacity_pages_) {
   MDW_CHECK(page_size >= 1, "buffer pool page size must be positive");
   MDW_CHECK(retry_.max_attempts >= 1,
             "retry policy needs at least one attempt");
-  arena_.resize(static_cast<std::size_t>(capacity_pages * page_size));
-  free_slots_.reserve(static_cast<std::size_t>(capacity_pages));
-  for (std::int64_t s = capacity_pages - 1; s >= 0; --s) {
+  arena_.resize(static_cast<std::size_t>(capacity_pages_ * page_size));
+  free_slots_.reserve(static_cast<std::size_t>(capacity_pages_));
+  for (std::int64_t s = capacity_pages_ - 1; s >= 0; --s) {
     free_slots_.push_back(static_cast<std::int32_t>(s));
   }
 }
@@ -157,10 +156,15 @@ StatusOr<BufferPool::PageRef> BufferPool::Pin(const PageFile& file,
     }
     const std::int32_t slot = AcquireSlot();
     if (slot < 0) {
-      // Too small a pool for the concurrent pin load. Nothing is read,
-      // so the lookup above counts as no miss (pages_read derives from
-      // the misses).
+      // Too small a pool for the concurrent pin load, or one configured
+      // without frames. Nothing is read, so the lookup above counts as
+      // no miss (pages_read derives from the misses).
       cache_.UncountMiss();
+      if (capacity_pages_ == 0) {
+        return Status::InvalidArgument(
+            "buffer pool has no frames: storage_pool_pages must be at "
+            "least 1");
+      }
       return Status::IoError("buffer pool exhausted: every one of its " +
                              std::to_string(capacity_pages_) +
                              " frames is pinned");

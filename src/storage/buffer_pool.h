@@ -87,7 +87,9 @@ struct PoolStats {
 /// of the same page starts from a clean slate.
 class BufferPool {
  public:
-  /// All registered files must share this page size.
+  /// All registered files must share this page size. A capacity below
+  /// 1 makes a pool without frames: every Pin fails kInvalidArgument and
+  /// Prefetch reads nothing.
   BufferPool(std::int64_t capacity_pages, std::int64_t page_size,
              StorageRetryPolicy retry = {});
   ~BufferPool();
@@ -102,7 +104,8 @@ class BufferPool {
   /// the pool's StorageRetryPolicy). On failure returns the last error —
   /// kIoError or kCorruption — and the frame is gone from the pool.
   /// When every frame is pinned (the pool is sized too small for the
-  /// concurrent pin load) returns kIoError naming the capacity, without
+  /// concurrent pin load) returns kIoError naming the capacity, and a
+  /// pool without frames returns kInvalidArgument — either without
   /// inserting a frame or counting a read. `io` (optional) receives the
   /// call's hit or page read and its failure counters; the failure
   /// counters also add into the pool's lifetime counters.

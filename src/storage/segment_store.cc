@@ -341,7 +341,6 @@ SegmentStore::SegmentStore(const StoreOptions& options,
                            const BuildInput& input)
     : page_size_(input.page_size),
       tuples_per_page_(input.tuples_per_page),
-      num_dims_(input.num_dims),
       num_columns_(ColumnCount(input)),
       has_summaries_(input.has_summaries),
       prefetch_(options.prefetch),
@@ -463,23 +462,25 @@ std::int64_t SegmentStore::Cursor::Fault(std::int64_t i) {
   const std::int64_t file_page =
       dir.col_first_page[static_cast<std::size_t>(column_)] + page_in_col;
 
+  // Unpin the current page before pinning the next, so the cursor never
+  // holds two frames.
+  page_.reset();
+  span_ = nullptr;
+  span_begin_ = span_end_ = 0;
   StatusOr<BufferPool::PageRef> ref = st.pool_->Pin(
       *st.files_[static_cast<std::size_t>(s)], file_page, io_, cancel_);
   if (!ref.ok()) {
     // Latch the error; from here every At() answers 0 without touching
     // the pool, and the caller discards the aggregate via status().
     status_ = ref.status();
-    span_ = nullptr;
-    span_begin_ = span_end_ = 0;
-    page_.reset();
     return 0;
   }
-  span_ = reinterpret_cast<const std::int64_t*>(ref->data());
+  page_.emplace(std::move(ref).value());
+  span_ = reinterpret_cast<const std::int64_t*>(page_->data());
   span_begin_ = begin + page_in_col * st.tuples_per_page_;
   span_end_ =
       begin + std::min(page_in_col * st.tuples_per_page_ + st.tuples_per_page_,
                        values);
-  page_ = std::make_unique<BufferPool::PageRef>(std::move(ref).value());
   return span_[static_cast<std::size_t>(i - span_begin_)];
 }
 

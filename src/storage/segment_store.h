@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -140,13 +141,6 @@ class SegmentStore {
   int num_columns() const { return num_columns_; }
   bool has_summaries() const { return has_summaries_; }
 
-  /// Column indices in on-disk order.
-  int ColDim(int d) const { return d; }
-  int ColUnits() const { return num_dims_; }
-  int ColDollars() const { return num_dims_ + 1; }
-  int ColUnitsPrefix() const { return num_dims_ + 2; }
-  int ColDollarsPrefix() const { return num_dims_ + 3; }
-
   /// Path of shard `s`'s segment file (for tests and tooling).
   std::string SegmentPath(int s) const;
   /// Pages in shard `s`'s segment file, header and checksum block
@@ -157,12 +151,15 @@ class SegmentStore {
   /// First data page of shard `s` (== header pages + checksum pages).
   std::int64_t FirstDataPage(int s) const;
 
-  /// A read cursor over one column, addressed by global clustered row
-  /// index; caches the current pinned page so sequential access costs
-  /// one pool pin per page. Every pin and prefetch counts its I/O into
-  /// `io` (when non-null). Cheap to construct (per scan chunk); NOT
-  /// thread-safe — use one cursor per thread, and a non-null `io` must
-  /// not be shared across concurrently-used cursors.
+  /// A read cursor over one column (an index into BuildInput::columns),
+  /// addressed by global clustered row index; caches the current pinned
+  /// page so sequential access costs one pool pin per page. It holds at
+  /// most one frame: the current pin is dropped before the next page is
+  /// pinned, so a reader needs one frame per open cursor. Every pin and
+  /// prefetch counts its I/O into `io` (when non-null). Cheap to
+  /// construct (per scan chunk); NOT thread-safe — use one cursor per
+  /// thread, and a non-null `io` must not be shared across
+  /// concurrently-used cursors.
   ///
   /// Failure semantics: when a pin fails (after the pool's retries) the
   /// cursor latches the error in status() and every subsequent At()
@@ -210,7 +207,7 @@ class SegmentStore {
     std::int64_t span_begin_ = 0;
     std::int64_t span_end_ = 0;
     const std::int64_t* span_ = nullptr;
-    std::unique_ptr<BufferPool::PageRef> page_;
+    std::optional<BufferPool::PageRef> page_;
   };
 
   Cursor MakeCursor(int column, IoCounters* io,
@@ -254,7 +251,6 @@ class SegmentStore {
 
   std::int64_t page_size_;
   std::int64_t tuples_per_page_;
-  int num_dims_;
   int num_columns_;
   bool has_summaries_;
   bool prefetch_;

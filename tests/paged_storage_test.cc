@@ -6,7 +6,8 @@
 // format invariants, query I/O counters against the buffer pool's own
 // accounting (and their per-shard split), service through a pool far
 // smaller than the working set, a typed error (never an abort) from a
-// pool too small for one scan lane, and pages_read against PagedLayout's
+// pool too small for one scan lane or without any frame, a grouped scan
+// in one frame per cursor, and pages_read against PagedLayout's
 // page-count predictions on residual vs covered queries.
 //
 // Every test writes under a mkdtemp directory removed by an RAII guard,
@@ -464,6 +465,53 @@ TEST(PagedStorageTest, TooSmallPoolFailsTheQueryTyped) {
   ASSERT_TRUE(ram->table.has_value() && paged->table.has_value());
   EXPECT_EQ(*paged->table, *ram->table);
   EXPECT_EQ(*paged->aggregate, *ram->aggregate);
+}
+
+TEST(PagedStorageTest, ThreePagePoolAnswersAGroupedScan) {
+  // A cursor unpins its page before pinning the next, so the grouped
+  // residual scan's three cursors (units, dollars, group key) run in
+  // three frames on one lane.
+  const std::string sql =
+      "SELECT SUM(UnitsSold) FROM tiny_sales WHERE customer.store = 3 "
+      "GROUP BY product.group";
+  TempDir dir;
+  const StatusOr<QueryOutcome> paged =
+      MakeFacade(2, /*workers=*/1, dir.path(), /*pool_pages=*/3)
+          .ExecuteSql(sql);
+  const StatusOr<QueryOutcome> ram = MakeFacade(2, 1).ExecuteSql(sql);
+  ASSERT_TRUE(ram.ok() && paged.ok());
+  ASSERT_TRUE(paged->status.ok()) << paged->status.ToString();
+  ASSERT_TRUE(ram->table.has_value() && paged->table.has_value());
+  EXPECT_EQ(*paged->table, *ram->table);
+  EXPECT_EQ(*paged->aggregate, *ram->aggregate);
+}
+
+TEST(PagedStorageTest, PoolWithoutFramesFailsEveryQueryTyped) {
+  // storage_pool_pages below 1 builds a pool without frames: each
+  // statement that reads a page fails with kInvalidArgument naming the
+  // setting instead of aborting at construction.
+  const std::vector<std::string> statements = {
+      "SELECT SUM(UnitsSold) FROM tiny_sales WHERE customer.store = 3 "
+      "GROUP BY product.group",
+      "SELECT SUM(UnitsSold) FROM tiny_sales WHERE time.month = 5",
+      "SELECT COUNT(*) FROM tiny_sales WHERE customer.store = 3",
+  };
+  for (const std::int64_t pool_pages : {0, -1}) {
+    TempDir dir;
+    const Warehouse paged =
+        MakeFacade(2, /*workers=*/1, dir.path(), pool_pages);
+    for (const std::string& sql : statements) {
+      const StatusOr<QueryOutcome> outcome = paged.ExecuteSql(sql);
+      ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
+      EXPECT_EQ(outcome->status.code(), StatusCode::kInvalidArgument)
+          << pool_pages << ": " << sql << ": " << outcome->status.ToString();
+      EXPECT_NE(outcome->status.message().find("storage_pool_pages"),
+                std::string::npos)
+          << outcome->status.ToString();
+      EXPECT_FALSE(outcome->aggregate.has_value()) << sql;
+      EXPECT_FALSE(outcome->table.has_value()) << sql;
+    }
+  }
 }
 
 TEST(PagedStorageTest, QueryIoCountersMatchThePoolAndSumOverShards) {
