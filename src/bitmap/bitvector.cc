@@ -1,5 +1,7 @@
 #include "bitmap/bitvector.h"
 
+#include <algorithm>
+
 #include "common/check.h"
 #include "common/math_util.h"
 
@@ -87,45 +89,34 @@ std::int64_t BitVector::NextSetBit(std::int64_t from) const {
   }
 }
 
-std::uint64_t BitVector::WordAt(std::int64_t bit) const {
-  const auto w = static_cast<std::size_t>(bit / 64);
-  const int shift = static_cast<int>(bit % 64);
-  if (w >= words_.size()) return 0;
-  std::uint64_t word = words_[w] >> shift;
-  if (shift != 0 && w + 1 < words_.size()) {
-    word |= words_[w + 1] << (64 - shift);
+void BitVector::AndWindowInto(std::int64_t begin, std::int64_t n_words,
+                              bool complement, std::uint64_t* out) const {
+  MDW_CHECK(begin >= 0 && n_words >= 0, "word window out of range");
+  const std::uint64_t flip = complement ? ~0ULL : 0;
+  const auto first = std::min(static_cast<std::size_t>(begin / 64),
+                              words_.size());
+  const int shift = static_cast<int>(begin % 64);
+  // The source words from `first` on; past them every bit reads as zero.
+  const std::uint64_t* w = words_.data() + first;
+  const auto avail = static_cast<std::int64_t>(words_.size() - first);
+  std::int64_t i = 0;
+  if (shift == 0) {
+    for (const std::int64_t n = std::min(n_words, avail); i < n; ++i) {
+      out[i] &= w[i] ^ flip;
+    }
+  } else {
+    // Window word i spans source words i and i + 1; the last source word
+    // has no successor, so it is handled apart and nothing past the
+    // vector is read.
+    for (const std::int64_t n = std::min(n_words, avail - 1); i < n; ++i) {
+      out[i] &= ((w[i] >> shift) | (w[i + 1] << (64 - shift))) ^ flip;
+    }
+    if (i < n_words && i < avail) {
+      out[i] &= (w[i] >> shift) ^ flip;
+      ++i;
+    }
   }
-  return word;
-}
-
-BitVector BitVector::Slice(std::int64_t begin, std::int64_t end) const {
-  MDW_CHECK(begin >= 0 && begin <= end && end <= size_bits_,
-            "slice bounds out of range");
-  BitVector result(end - begin);
-  for (std::size_t i = 0; i < result.words_.size(); ++i) {
-    result.words_[i] = WordAt(begin + static_cast<std::int64_t>(i) * 64);
-  }
-  result.MaskTail();
-  return result;
-}
-
-BitVector& BitVector::AndSlice(const BitVector& other, std::int64_t offset) {
-  MDW_CHECK(offset >= 0 && offset + size_bits_ <= other.size_bits_,
-            "slice window out of range");
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    words_[i] &= other.WordAt(offset + static_cast<std::int64_t>(i) * 64);
-  }
-  return *this;
-}
-
-BitVector& BitVector::AndNotSlice(const BitVector& other, std::int64_t offset) {
-  MDW_CHECK(offset >= 0 && offset + size_bits_ <= other.size_bits_,
-            "slice window out of range");
-  for (std::size_t i = 0; i < words_.size(); ++i) {
-    words_[i] &= ~other.WordAt(offset + static_cast<std::int64_t>(i) * 64);
-  }
-  MaskTail();
-  return *this;
+  for (; i < n_words; ++i) out[i] &= flip;
 }
 
 void BitVector::MaskTail() {

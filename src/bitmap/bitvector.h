@@ -39,18 +39,16 @@ class BitVector {
   /// Flips every bit (trailing bits beyond size stay zero).
   void FlipAll();
 
-  /// ---- Range-restricted operations ----
-  /// These let fragment-confined execution evaluate bitmap filters over
-  /// one fragment's row range only, instead of over full-width vectors
-  /// (O(range) rather than O(table)). `offset` addresses bits of `other`:
-  /// bit i of *this is combined with bit offset+i of other.
-
-  /// Copy of bits [begin, end) as a new vector of size end-begin.
-  BitVector Slice(std::int64_t begin, std::int64_t end) const;
-  /// this &= other[offset .. offset+size())
-  BitVector& AndSlice(const BitVector& other, std::int64_t offset);
-  /// this &= ~other[offset .. offset+size())
-  BitVector& AndNotSlice(const BitVector& other, std::int64_t offset);
+  /// ---- Word windows ----
+  /// ANDs the `n_words` * 64 bits starting at bit `begin` into
+  /// out[0 .. n_words): bit j of out[i] is ANDed with bit
+  /// begin + 64 * i + j, or with its complement when `complement` is set
+  /// (the AND-NOT form). Bits past size() read as zero, so their
+  /// complement reads as one. This is how fragment-confined execution
+  /// evaluates a bit-slice over one block of a fragment's rows, O(block)
+  /// and without copying the bitmap.
+  void AndWindowInto(std::int64_t begin, std::int64_t n_words,
+                     bool complement, std::uint64_t* out) const;
 
   /// Number of set bits.
   std::int64_t Count() const;
@@ -79,9 +77,6 @@ class BitVector {
 
  private:
   void MaskTail();
-  /// 64 bits of `words` starting at bit offset `bit` (reads at most two
-  /// adjacent words; bits past `size_bits` read as zero).
-  std::uint64_t WordAt(std::int64_t bit) const;
 
   std::int64_t size_bits_ = 0;
   std::vector<std::uint64_t> words_;

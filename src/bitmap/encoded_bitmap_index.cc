@@ -1,6 +1,7 @@
 #include "bitmap/encoded_bitmap_index.h"
 
 #include "common/check.h"
+#include "common/math_util.h"
 
 namespace mdw {
 
@@ -63,29 +64,22 @@ BitVector EncodedBitmapIndex::SelectWithinPrefix(Depth depth,
   return result;
 }
 
-BitVector EncodedBitmapIndex::SelectWithinPrefixSlice(Depth depth,
-                                                      std::int64_t value,
-                                                      int skip_bits,
-                                                      std::int64_t begin,
-                                                      std::int64_t end) const {
+void EncodedBitmapIndex::AndSelectionInto(Depth depth, std::int64_t value,
+                                          int skip_bits, std::int64_t begin,
+                                          std::int64_t end,
+                                          std::uint64_t* out) const {
   const int prefix_bits = hierarchy_.PrefixBits(depth);
   MDW_CHECK(skip_bits >= 0 && skip_bits <= prefix_bits,
             "skip_bits must not exceed the selection's prefix");
   MDW_CHECK(begin >= 0 && begin <= end && end <= row_count_,
             "row range out of bounds");
   const std::uint64_t pattern = PrefixPattern(depth, value);
-  BitVector result(end - begin);
-  result.SetAll();
+  const std::int64_t n_words = CeilDiv(end - begin, 64);
   for (int b = skip_bits; b < prefix_bits; ++b) {
     const bool bit_set = (pattern >> (prefix_bits - 1 - b)) & 1;
-    const auto& slice = slices_[static_cast<std::size_t>(b)];
-    if (bit_set) {
-      result.AndSlice(slice, begin);
-    } else {
-      result.AndNotSlice(slice, begin);
-    }
+    slices_[static_cast<std::size_t>(b)].AndWindowInto(begin, n_words,
+                                                       !bit_set, out);
   }
-  return result;
 }
 
 int EncodedBitmapIndex::BitmapsRead(Depth depth, int skip_bits) const {

@@ -52,14 +52,16 @@ class EncodedBitmapIndex {
   /// Number of bitmaps SelectWithinPrefix touches.
   int BitmapsRead(Depth depth, int skip_bits) const;
 
-  /// Range-restricted SelectWithinPrefix: evaluates the same bit-slice
-  /// bitmaps but only over rows [begin, end), returning a vector of size
-  /// end-begin whose bit i corresponds to row begin+i. Fragment-confined
-  /// execution uses this to pay O(fragment) instead of O(table) per
-  /// predicate.
-  BitVector SelectWithinPrefixSlice(Depth depth, std::int64_t value,
-                                    int skip_bits, std::int64_t begin,
-                                    std::int64_t end) const;
+  /// Range-restricted SelectWithinPrefix into the caller's words: ANDs
+  /// the selection's bit for row begin + i into bit i % 64 of out[i / 64],
+  /// over the CeilDiv(end - begin, 64) words that rows [begin, end) span.
+  /// The last word's bits past end - begin are ANDed with the rows that
+  /// follow `end` (zero past the table), so callers mask them. Reads the
+  /// same bit-slices as SelectWithinPrefix, over the range only:
+  /// fragment-confined execution pays O(block) per slice, not O(table).
+  void AndSelectionInto(Depth depth, std::int64_t value, int skip_bits,
+                        std::int64_t begin, std::int64_t end,
+                        std::uint64_t* out) const;
 
  private:
   const Hierarchy& hierarchy_;

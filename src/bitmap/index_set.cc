@@ -31,30 +31,19 @@ BitVector IndexSet::Select(DimId dim, Depth depth, std::int64_t value) const {
   return simple_[static_cast<std::size_t>(dim)]->Select(depth, value);
 }
 
-BitVector IndexSet::SelectSlice(DimId dim, Depth depth, std::int64_t value,
-                                std::int64_t begin, std::int64_t end) const {
+void IndexSet::AndSelectionInto(DimId dim, Depth depth, std::int64_t value,
+                                Depth fragment_depth, std::int64_t begin,
+                                std::int64_t end, std::uint64_t* out) const {
   const auto& d = schema_.dimension(dim);
   if (d.index_kind() == IndexKind::kEncoded) {
-    return encoded_[static_cast<std::size_t>(dim)]->SelectWithinPrefixSlice(
-        depth, value, /*skip_bits=*/0, begin, end);
+    const int skip =
+        fragment_depth >= 0 ? d.hierarchy().PrefixBits(fragment_depth) : 0;
+    encoded_[static_cast<std::size_t>(dim)]->AndSelectionInto(
+        depth, value, skip, begin, end, out);
+  } else {
+    simple_[static_cast<std::size_t>(dim)]->AndSelectionInto(depth, value,
+                                                             begin, end, out);
   }
-  return simple_[static_cast<std::size_t>(dim)]->SelectSlice(depth, value,
-                                                             begin, end);
-}
-
-BitVector IndexSet::SelectWithinFragmentSlice(DimId dim, Depth depth,
-                                              std::int64_t value,
-                                              Depth fragment_depth,
-                                              std::int64_t begin,
-                                              std::int64_t end) const {
-  const auto& d = schema_.dimension(dim);
-  if (d.index_kind() == IndexKind::kEncoded) {
-    const int skip = d.hierarchy().PrefixBits(fragment_depth);
-    return encoded_[static_cast<std::size_t>(dim)]->SelectWithinPrefixSlice(
-        depth, value, skip, begin, end);
-  }
-  return simple_[static_cast<std::size_t>(dim)]->SelectSlice(depth, value,
-                                                             begin, end);
 }
 
 int IndexSet::TotalBitmapCount() const {

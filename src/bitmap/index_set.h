@@ -36,21 +36,21 @@ class IndexSet {
   /// Rows matching value@depth on dimension `dim` (reads the index).
   BitVector Select(DimId dim, Depth depth, std::int64_t value) const;
 
-  /// Range-restricted Select: the selection's bits over rows [begin, end)
-  /// only, as a vector of size end-begin (bit i = row begin+i). This is
-  /// how fragment-confined execution evaluates predicates per fragment
-  /// row range instead of over full-width bitmaps.
-  BitVector SelectSlice(DimId dim, Depth depth, std::int64_t value,
-                        std::int64_t begin, std::int64_t end) const;
-
-  /// Rows in [begin, end) (same row-range semantics) matching value@depth
-  /// when processing is already confined to rows sharing the dimension's
-  /// prefix down to `fragment_depth` (only meaningful for encoded
-  /// indices; for simple indices this is a plain SelectSlice).
-  BitVector SelectWithinFragmentSlice(DimId dim, Depth depth,
-                                      std::int64_t value, Depth fragment_depth,
-                                      std::int64_t begin,
-                                      std::int64_t end) const;
+  /// Range-restricted Select into the caller's words: ANDs the bit of
+  /// row begin + i, matching value@depth on dimension `dim`, into bit
+  /// i % 64 of out[i / 64], over the CeilDiv(end - begin, 64) words that
+  /// rows [begin, end) span; the last word's bits past end - begin are
+  /// ANDed with the rows that follow `end` (zero past the table), so
+  /// callers mask them. `fragment_depth` >= 0 says processing is already
+  /// confined to rows sharing the dimension's prefix down to that depth,
+  /// so an encoded index reads only the suffix bits below it; -1 reads
+  /// the whole prefix. A simple index reads its one bitmap either way.
+  /// This is how fragment-confined execution evaluates predicates one
+  /// block of a fragment's rows at a time instead of over full-width
+  /// bitmaps.
+  void AndSelectionInto(DimId dim, Depth depth, std::int64_t value,
+                        Depth fragment_depth, std::int64_t begin,
+                        std::int64_t end, std::uint64_t* out) const;
 
   /// Total bitmaps across all indices (76 for paper APB-1).
   int TotalBitmapCount() const;

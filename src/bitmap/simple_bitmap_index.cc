@@ -1,6 +1,7 @@
 #include "bitmap/simple_bitmap_index.h"
 
 #include "common/check.h"
+#include "common/math_util.h"
 
 namespace mdw {
 
@@ -42,10 +43,13 @@ BitVector SimpleBitmapIndex::Select(Depth depth, std::int64_t value) const {
   return Bitmap(depth, value);
 }
 
-BitVector SimpleBitmapIndex::SelectSlice(Depth depth, std::int64_t value,
-                                         std::int64_t begin,
-                                         std::int64_t end) const {
-  return Bitmap(depth, value).Slice(begin, end);
+void SimpleBitmapIndex::AndSelectionInto(Depth depth, std::int64_t value,
+                                         std::int64_t begin, std::int64_t end,
+                                         std::uint64_t* out) const {
+  MDW_CHECK(begin >= 0 && begin <= end && end <= row_count_,
+            "row range out of bounds");
+  Bitmap(depth, value).AndWindowInto(begin, CeilDiv(end - begin, 64),
+                                     /*complement=*/false, out);
 }
 
 }  // namespace mdw

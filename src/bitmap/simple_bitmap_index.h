@@ -28,10 +28,11 @@ class SimpleBitmapIndex {
   /// index this is just a copy of the stored bitmap (one bitmap read).
   BitVector Select(Depth depth, std::int64_t value) const;
 
-  /// Range-restricted Select: the stored bitmap's bits [begin, end) as a
-  /// vector of size end-begin (bit i = row begin+i).
-  BitVector SelectSlice(Depth depth, std::int64_t value, std::int64_t begin,
-                        std::int64_t end) const;
+  /// Range-restricted Select into the caller's words: ANDs the stored
+  /// bitmap's bits over rows [begin, end) into out, laid out as in
+  /// EncodedBitmapIndex::AndSelectionInto (one bitmap read).
+  void AndSelectionInto(Depth depth, std::int64_t value, std::int64_t begin,
+                        std::int64_t end, std::uint64_t* out) const;
 
   /// Total number of bitmaps materialised (sum of level cardinalities).
   int bitmap_count() const { return bitmap_count_; }

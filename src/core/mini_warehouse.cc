@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/math_util.h"
 #include "common/rng.h"
 #include "common/thread_pool.h"
 
@@ -94,6 +95,48 @@ struct RowGrouping {
   }
 };
 
+/// Filter words per block: the scan kernel evaluates its bitmap filters
+/// 64 words (4096 rows) at a time, in stack words.
+constexpr std::int64_t kBlockWords = 64;
+constexpr std::int64_t kBlockRows = kBlockWords * 64;
+
+/// Evaluates the accesses' bitmap filters over rows [begin, end), at most
+/// kBlockRows of them, into the filter words and returns their count,
+/// CeilDiv(end - begin, 64): bit i is set iff row begin + i passes every
+/// predicate. A predicate ORs its IN-list values' selections and the
+/// predicates AND together; each selection ANDs its bit-slices straight
+/// into the words.
+template <typename Accesses>
+std::int64_t FilterBlock(const IndexSet& indexes, const Accesses& accesses,
+                         std::int64_t begin, std::int64_t end,
+                         std::uint64_t* filter) {
+  const std::int64_t rows = end - begin;
+  const std::int64_t n = CeilDiv(rows, 64);
+  std::fill_n(filter, n, ~0ULL);
+  // The bits past `end` start clear, so every AND keeps them clear.
+  if (rows % 64 != 0) filter[n - 1] = (1ULL << (rows % 64)) - 1;
+  for (const auto& a : accesses) {
+    const Predicate& p = *a.pred;
+    const Depth fragment_depth = a.same_ancestor ? a.frag_depth : -1;
+    if (p.values.size() == 1) {
+      indexes.AndSelectionInto(p.dim, p.depth, p.values.front(),
+                               fragment_depth, begin, end, filter);
+      continue;
+    }
+    // filter & (s1 | s2 | ...) as (filter & s1) | (filter & s2) | ...
+    std::uint64_t any[kBlockWords] = {};
+    std::uint64_t selected[kBlockWords] = {};
+    for (const auto value : p.values) {
+      std::copy_n(filter, n, selected);
+      indexes.AndSelectionInto(p.dim, p.depth, value, fragment_depth, begin,
+                               end, selected);
+      for (std::int64_t i = 0; i < n; ++i) any[i] |= selected[i];
+    }
+    std::copy_n(any, n, filter);
+  }
+  return n;
+}
+
 /// The residual-scan kernel: aggregates rows [begin, end) under the
 /// accesses' bitmap filters (evaluated over the range only, O(range)).
 template <typename Accesses, typename Measures, typename Grouping>
@@ -118,23 +161,19 @@ void ProcessRows(const IndexSet& indexes, std::int64_t begin,
     // of the range is a hit.
     for (std::int64_t row = begin; row < end; ++row) hit(row);
   } else {
-    // Bitmap filter over this range only: O(range), never O(table).
-    BitVector filter(end - begin);
-    filter.SetAll();
-    for (const auto& a : accesses) {
-      BitVector pred_rows(end - begin);
-      for (const auto value : a.pred->values) {
-        if (a.same_ancestor) {
-          pred_rows |= indexes.SelectWithinFragmentSlice(
-              a.pred->dim, a.pred->depth, value, a.frag_depth, begin, end);
-        } else {
-          pred_rows |= indexes.SelectSlice(a.pred->dim, a.pred->depth, value,
-                                           begin, end);
+    // Bitmap filter over this range only, one block at a time: O(range),
+    // never O(table), and nothing allocated. Hits are gathered in
+    // ascending row order.
+    std::uint64_t filter[kBlockWords] = {};
+    for (std::int64_t b = begin; b < end; b += kBlockRows) {
+      const std::int64_t n = FilterBlock(indexes, accesses, b,
+                                         std::min(b + kBlockRows, end), filter);
+      for (std::int64_t w = 0; w < n; ++w) {
+        for (std::uint64_t bits = filter[w]; bits != 0; bits &= bits - 1) {
+          hit(b + w * 64 + __builtin_ctzll(bits));
         }
       }
-      filter &= pred_rows;
     }
-    filter.ForEachSetBit([&](std::int64_t i) { hit(begin + i); });
   }
   partial->result.rows += agg.rows;
   partial->result.units_sold += agg.units_sold;

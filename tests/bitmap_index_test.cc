@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "bitmap/encoded_bitmap_index.h"
@@ -201,6 +204,83 @@ TEST(IndexSetTest, SelectAgreesAcrossIndexKinds) {
       }
     }
   }
+}
+
+// The tiny schema's four indexes over `rows` random fact rows.
+FactColumns RandomFacts(const StarSchema& schema, int rows,
+                        std::uint64_t seed) {
+  FactColumns facts;
+  facts.columns.resize(static_cast<std::size_t>(schema.num_dimensions()));
+  Rng rng(seed);
+  for (int r = 0; r < rows; ++r) {
+    for (DimId d = 0; d < schema.num_dimensions(); ++d) {
+      facts.columns[static_cast<std::size_t>(d)].push_back(rng.Uniform(
+          0, schema.dimension(d).hierarchy().LeafCardinality() - 1));
+    }
+  }
+  return facts;
+}
+
+// AndSelectionInto against the full-width selections, on both index
+// kinds, at every level, with and without a fragmentation depth: ranges
+// that are empty, start off a word boundary, span several words or end
+// at the table's last row. Only the words' bits inside the range count;
+// the seed words are all ones, so each bit is the selection's own.
+TEST(IndexSetTest, AndSelectionIntoMatchesSelectOverAnyRange) {
+  const auto schema = MakeTinyApb1Schema();
+  const FactColumns facts = RandomFacts(schema, 1'037, 8);
+  const IndexSet set(schema, facts);
+  const std::int64_t rows = facts.row_count();
+  const std::vector<std::pair<std::int64_t, std::int64_t>> ranges = {
+      {0, rows}, {0, 0}, {5, 5}, {1, 64}, {3, 200}, {63, 65}, {64, 128},
+      {130, rows - 3}, {rows - 70, rows}, {rows - 1, rows}};
+  for (DimId d = 0; d < schema.num_dimensions(); ++d) {
+    const auto& h = schema.dimension(d).hierarchy();
+    const EncodedBitmapIndex* encoded = set.encoded_index(d);
+    for (Depth depth = 0; depth < h.num_levels(); ++depth) {
+      for (Depth frag = -1; frag <= depth; ++frag) {
+        for (std::int64_t v = 0; v < h.Cardinality(depth);
+             v += std::max<std::int64_t>(h.Cardinality(depth) / 4, 1)) {
+          const BitVector expected =
+              encoded != nullptr
+                  ? encoded->SelectWithinPrefix(
+                        depth, v, frag >= 0 ? h.PrefixBits(frag) : 0)
+                  : set.Select(d, depth, v);
+          for (const auto& [begin, end] : ranges) {
+            std::vector<std::uint64_t> out(
+                static_cast<std::size_t>((end - begin + 63) / 64), ~0ULL);
+            set.AndSelectionInto(d, depth, v, frag, begin, end, out.data());
+            for (std::int64_t i = 0; i < end - begin; ++i) {
+              const auto w = static_cast<std::size_t>(i / 64);
+              ASSERT_EQ(((out[w] >> (i % 64)) & 1) != 0,
+                        expected.Get(begin + i))
+                  << "dim " << d << " depth " << depth << " fragment depth "
+                  << frag << " value " << v << " rows [" << begin << ", "
+                  << end << ") bit " << i;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The selections keep their range and prefix checks.
+TEST(IndexSetTest, AndSelectionIntoChecksRangeAndSkipBits) {
+  const auto schema = MakeTinyApb1Schema();
+  const FactColumns facts = RandomFacts(schema, 300, 9);
+  const IndexSet set(schema, facts);
+  std::vector<std::uint64_t> out(8, ~0ULL);
+  EXPECT_DEATH(set.AndSelectionInto(kApb1Product, 3, 1, -1, 10, 301,
+                                    out.data()),
+               "row range out of bounds");
+  EXPECT_DEATH(set.AndSelectionInto(kApb1Channel, 0, 1, -1, 20, 10,
+                                    out.data()),
+               "row range out of bounds");
+  // A fragmentation level below the selection's level has no suffix.
+  EXPECT_DEATH(set.AndSelectionInto(kApb1Product, 2, 1, 3, 0, 300,
+                                    out.data()),
+               "skip_bits must not exceed");
 }
 
 }  // namespace

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "bitmap/bitvector.h"
@@ -175,6 +177,56 @@ TEST_P(BitVectorProperty, IterationMatchesCount) {
 INSTANTIATE_TEST_SUITE_P(Sizes, BitVectorProperty,
                          ::testing::Values<std::int64_t>(1, 63, 64, 65, 127,
                                                          128, 1000, 4096));
+
+// AndWindowInto against a Get()-based reference: bit j of out[i] ends up
+// as its seed bit AND (bit begin + 64 * i + j of the vector, zero past
+// its end), complemented first in the AND-NOT form. Starts cover every
+// offset within the first word and every offset within 64 bits of the
+// end (and past it); windows of 0, 1 and 2 words, ones that stop at the
+// vector's last word, and ones that run two words past it.
+class BitVectorWindow : public ::testing::TestWithParam<std::int64_t> {};
+
+TEST_P(BitVectorWindow, AndWindowIntoMatchesGet) {
+  const std::int64_t size = GetParam();
+  Rng rng(static_cast<std::uint64_t>(size) + 11);
+  BitVector v(size);
+  for (std::int64_t i = 0; i < size; ++i) {
+    if (rng.UniformReal() < 0.5) v.Set(i);
+  }
+  std::vector<std::int64_t> begins;
+  for (std::int64_t b = 0; b < 64; ++b) begins.push_back(b);
+  for (std::int64_t b = std::max<std::int64_t>(64, size - 64); b <= size + 64;
+       ++b) {
+    begins.push_back(b);
+  }
+  for (const bool complement : {false, true}) {
+    for (const std::int64_t begin : begins) {
+      const std::int64_t to_end =
+          (std::max<std::int64_t>(size - begin, 0) + 63) / 64;
+      for (const std::int64_t n_words :
+           {std::int64_t{0}, std::int64_t{1}, std::int64_t{2}, to_end,
+            to_end + 2}) {
+        std::vector<std::uint64_t> seed(static_cast<std::size_t>(n_words));
+        for (auto& word : seed) word = rng.engine()();
+        std::vector<std::uint64_t> out = seed;
+        v.AndWindowInto(begin, n_words, complement, out.data());
+        for (std::int64_t i = 0; i < n_words * 64; ++i) {
+          const auto w = static_cast<std::size_t>(i / 64);
+          const bool seeded = (seed[w] >> (i % 64)) & 1;
+          const bool source = begin + i < size && v.Get(begin + i);
+          ASSERT_EQ(((out[w] >> (i % 64)) & 1) != 0,
+                    seeded && source != complement)
+              << "size " << size << " begin " << begin << " words "
+              << n_words << " bit " << i << " complement " << complement;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, BitVectorWindow,
+                         ::testing::Values<std::int64_t>(0, 1, 63, 64, 65,
+                                                         4096 + 7));
 
 }  // namespace
 }  // namespace mdw

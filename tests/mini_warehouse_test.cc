@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
+#include <stdlib.h>
 
+#include <cstdint>
+#include <filesystem>
 #include <memory>
+#include <string>
 #include <tuple>
 #include <vector>
 
+#include "common/thread_pool.h"
 #include "core/mini_warehouse.h"
 #include "fragment/query_planner.h"
+#include "fragment/star_query.h"
 #include "schema/apb1.h"
 
 namespace mdw {
@@ -253,6 +259,133 @@ INSTANTIATE_TEST_SUITE_P(
     AllCombos, MdhfEquivalenceSweep,
     ::testing::Combine(::testing::Range(0, 13), ::testing::Range(0, 14)),
     SweepName);
+
+// ---- The block filter kernel at its edges ----
+// The scan kernel evaluates a chunk's bitmap filters one block of 64
+// words (4096 rows) at a time from the chunk's first row, so a chunk may
+// start off a 64-row boundary, span several blocks and end in a ragged
+// one, and its last window may reach the end of the bitmaps. These
+// stores (tiny schema, seed 42, summaries off so every selected fragment
+// is scanned) are clustered under {time::quarter, customer::retailer}:
+// 32 fragments of about 1,080 rows, id quarter * 8 + retailer, so
+// fragment 31 (quarter 3, retailer 7) holds the table's last row. A plan
+// over every fragment scans the table as one run, which the executor
+// cuts into four chunks per lane; at one or two lanes each is longer
+// than two blocks resp. one. Plans over one retailer's fragments scan
+// one chunk per fragment. Every shape runs grouped and ungrouped, at one
+// and two workers, on the RAM and the file-backed store, against the
+// row-by-row reference scans.
+
+class BlockKernelTest
+    : public ::testing::TestWithParam<std::tuple<bool, int>> {
+ protected:
+  static std::vector<FragAttr> QuarterRetailer() {
+    return {{kApb1Time, 1}, {kApb1Customer, 0}};
+  }
+
+  static void SetUpTestSuite() {
+    ram_ = new MiniWarehouse(MakeTinyApb1Schema(), /*seed=*/42,
+                             QuarterRetailer(), /*enable_summaries=*/false);
+    const char* base = std::getenv("TEST_TMPDIR");
+    dir_ = new std::string(std::string(base != nullptr ? base : "/tmp") +
+                           "/mdw_kernel_XXXXXX");
+    ASSERT_NE(::mkdtemp(dir_->data()), nullptr);
+    storage::StoreOptions storage;
+    storage.path = *dir_;
+    paged_ = new MiniWarehouse(MakeTinyApb1Schema(), /*seed=*/42,
+                               QuarterRetailer(), /*enable_summaries=*/false,
+                               /*num_shards=*/1, {}, storage);
+  }
+  static void TearDownTestSuite() {
+    delete ram_;
+    delete paged_;
+    ram_ = paged_ = nullptr;
+    std::error_code ec;
+    std::filesystem::remove_all(*dir_, ec);
+    delete dir_;
+    dir_ = nullptr;
+  }
+
+  static std::vector<StarQuery> Shapes() {
+    // Retailer r owns stores 5r .. 5r + 4; quarter q owns months
+    // 3q .. 3q + 2.
+    return {
+        // Suffix-only IN-list and single value (same ancestor, encoded):
+        // retailer 7's four fragments, the last one ending the table.
+        StarQuery("STORES_OF_RETAILER_7", {{kApb1Customer, 1, {36, 38}}}),
+        StarQuery("STORE_37", {{kApb1Customer, 1, {37}}}),
+        // Stores under two retailers: the full prefix is read.
+        StarQuery("STORES_OF_TWO_RETAILERS", {{kApb1Customer, 1, {3, 36}}}),
+        // Same ancestor and not, on the simple TIME index.
+        StarQuery("MONTHS_OF_QUARTER_3", {{kApb1Time, 2, {10, 11}}}),
+        StarQuery("MONTHS_OF_TWO_QUARTERS", {{kApb1Time, 2, {2, 3}}}),
+        // Whole-table runs: an encoded and a simple dimension outside the
+        // fragmentation, and two accesses ANDed.
+        StarQuery("CODES", {{kApb1Product, 5, {5, 40, 90}}}),
+        StarQuery("CHANNEL_1", {{kApb1Channel, 0, {1}}}),
+        StarQuery("CLASS_7_TWO_CHANNELS",
+                  {{kApb1Product, 4, {7}}, {kApb1Channel, 0, {0, 2}}}),
+        // One fragment, the table's last, under two accesses.
+        StarQuery("STORE_37_MONTH_11",
+                  {{kApb1Customer, 1, {37}}, {kApb1Time, 2, {11}}}),
+    };
+  }
+
+  static MiniWarehouse* ram_;
+  static MiniWarehouse* paged_;
+  static std::string* dir_;
+};
+
+MiniWarehouse* BlockKernelTest::ram_ = nullptr;
+MiniWarehouse* BlockKernelTest::paged_ = nullptr;
+std::string* BlockKernelTest::dir_ = nullptr;
+
+TEST_P(BlockKernelTest, FiltersMatchTheReferenceScans) {
+  const auto [file_backed, workers] = GetParam();
+  const MiniWarehouse& store = file_backed ? *paged_ : *ram_;
+  ASSERT_EQ(store.file_backed(), file_backed);
+
+  // The layout has the edge shapes the comment above names.
+  const std::int64_t rows = store.row_count();
+  EXPECT_GT(rows, 8 * 4096);  // whole-table chunks exceed one block
+  EXPECT_NE(rows % 64, 0);
+  EXPECT_EQ(store.FragmentRows(31).second, rows);
+  int off_boundary = 0;
+  for (const std::int64_t quarter : {0, 1, 2, 3}) {
+    if (store.FragmentRows(quarter * 8 + 7).first % 64 != 0) ++off_boundary;
+  }
+  EXPECT_GT(off_boundary, 0);
+
+  const std::unique_ptr<ThreadPool> pool =
+      workers > 1 ? std::make_unique<ThreadPool>(workers - 1) : nullptr;
+  const QueryPlanner planner(&store.schema(), store.cluster_fragmentation());
+  for (const StarQuery& shape : Shapes()) {
+    const auto exec =
+        store.ExecuteWithPlan(shape, planner.Plan(shape), pool.get());
+    ASSERT_TRUE(exec.status.ok()) << shape.name();
+    EXPECT_EQ(exec.result, store.ExecuteFullScan(shape)) << shape.name();
+    EXPECT_GT(exec.result.rows, 0) << shape.name();
+    EXPECT_GT(exec.rows_scanned, exec.result.rows) << shape.name();
+    for (const GroupBy by :
+         {GroupBy{kApb1Product, 4}, GroupBy{kApb1Channel, 0}}) {
+      const StarQuery grouped = shape.WithGroupBy(by);
+      const auto gexec =
+          store.ExecuteWithPlan(grouped, planner.Plan(grouped), pool.get());
+      ASSERT_TRUE(gexec.status.ok()) << grouped.name();
+      EXPECT_EQ(gexec.result, exec.result) << grouped.name();
+      EXPECT_EQ(gexec.groups, store.ExecuteFullScanGrouped(grouped))
+          << grouped.name() << " by dim " << by.dim;
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    StoresByWorkers, BlockKernelTest,
+    ::testing::Combine(::testing::Bool(), ::testing::Values(1, 2)),
+    [](const ::testing::TestParamInfo<std::tuple<bool, int>>& info) {
+      return std::string(std::get<0>(info.param) ? "paged" : "ram") + "_w" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 }  // namespace
 }  // namespace mdw
