@@ -61,43 +61,53 @@ bool ThreadPool::ParallelFor(std::int64_t n,
                              const std::function<void(std::int64_t)>& fn,
                              const CancellationToken& cancel) const {
   return ParallelForQueues(
-      {n}, [&fn](int /*queue*/, std::int64_t i) { fn(i); }, cancel);
+      {n}, [&fn](int /*lane*/, int /*queue*/, std::int64_t i) { fn(i); },
+      cancel);
 }
 
 bool ThreadPool::ParallelForQueues(
-    const std::vector<std::int64_t>& queue_sizes,
-    const std::function<void(int, std::int64_t)>& fn,
+    const std::vector<std::int64_t>& queue_sizes, const QueueFn& fn,
     const CancellationToken& cancel) const {
-  const int num_queues = static_cast<int>(queue_sizes.size());
+  return ParallelForQueues(this, queue_sizes, fn, cancel);
+}
+
+bool ThreadPool::ParallelForQueues(const ThreadPool* pool,
+                                   const std::vector<std::int64_t>& queue_sizes,
+                                   const QueueFn& fn,
+                                   const CancellationToken& cancel) {
   std::int64_t total = 0;
   for (const std::int64_t size : queue_sizes) {
     MDW_CHECK(size >= 0, "queue sizes must be non-negative");
     total += size;
   }
   if (total <= 0) return true;
-  if (total == 1 || tls_pool_worker) {
-    for (int q = 0; q < num_queues; ++q) {
-      for (std::int64_t i = 0; i < queue_sizes[static_cast<std::size_t>(q)];
-           ++i) {
-        if (cancel.ShouldStop()) return false;
-        fn(q, i);
-      }
-    }
-    return true;
+  if (pool != nullptr && total > 1 && !tls_pool_worker) {
+    return pool->RunOnLanes(queue_sizes, total, fn, cancel);
   }
+  for (std::size_t q = 0; q < queue_sizes.size(); ++q) {
+    for (std::int64_t i = 0; i < queue_sizes[q]; ++i) {
+      if (cancel.ShouldStop()) return false;
+      fn(/*lane=*/0, static_cast<int>(q), i);
+    }
+  }
+  return true;
+}
 
+bool ThreadPool::RunOnLanes(const std::vector<std::int64_t>& queue_sizes,
+                            std::int64_t total, const QueueFn& fn,
+                            const CancellationToken& cancel) const {
+  const int num_queues = static_cast<int>(queue_sizes.size());
   // Shared claim/completion state; kept alive by the helper closures in
   // case stragglers dequeue after the caller has already returned. Every
   // claimed item (run or abandoned) counts toward `done` exactly once;
   // the caller waits until all `total` items are done.
   struct QueuesState {
     std::unique_ptr<std::atomic<std::int64_t>[]> next;
-    std::atomic<int> owner{0};
     std::atomic<std::int64_t> skipped{0};
     std::atomic<std::int64_t> done{0};
     std::int64_t total = 0;
     std::vector<std::int64_t> sizes;
-    const std::function<void(int, std::int64_t)>* fn;
+    const QueueFn* fn;
     CancellationToken cancel;
     std::mutex mu;
     std::condition_variable all_done;
@@ -112,15 +122,13 @@ bool ThreadPool::ParallelForQueues(
   state->fn = &fn;
   state->cancel = cancel;
 
-  const auto drain = [state, num_queues] {
-    // Affinity phase: claim the next unowned queue and drain it; once it
-    // is empty, steal from the other queues in cyclic order. A cursor past
-    // a queue's size just means the queue is drained.
+  const auto drain = [state, num_queues](int lane) {
+    // Affinity phase: drain the lane's own queue; once it is empty, steal
+    // from the other queues in cyclic order. A cursor past a queue's size
+    // just means the queue is drained.
     QueuesState& s = *state;
-    const int q0 = s.owner.fetch_add(1, std::memory_order_relaxed) %
-                   num_queues;
     for (int off = 0; off < num_queues; ++off) {
-      const int q = (q0 + off) % num_queues;
+      const int q = (lane + off) % num_queues;
       while (true) {
         const std::int64_t i =
             s.next[q].fetch_add(1, std::memory_order_relaxed);
@@ -132,7 +140,7 @@ bool ThreadPool::ParallelForQueues(
         if (s.cancel.ShouldStop()) {
           s.skipped.fetch_add(1, std::memory_order_relaxed);
         } else {
-          (*s.fn)(q, i);
+          (*s.fn)(lane, q, i);
         }
         if (s.done.fetch_add(1, std::memory_order_acq_rel) + 1 == s.total) {
           std::lock_guard<std::mutex> lock(s.mu);
@@ -142,20 +150,23 @@ bool ThreadPool::ParallelForQueues(
     }
   };
 
-  // Up to `total - 1` helper tasks; the caller drains too, then waits for
-  // stragglers to finish the items they already claimed.
-  const std::int64_t helpers = std::min<std::int64_t>(
-      static_cast<std::int64_t>(workers_.size()), total - 1);
+  // Up to `total - 1` helper tasks, lanes 1..helpers, each run whole by
+  // one worker; the caller drains as lane 0, then waits for stragglers
+  // to finish the items they already claimed.
+  const int helpers = static_cast<int>(
+      std::min<std::int64_t>(size(), total - 1));
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (std::int64_t h = 0; h < helpers; ++h) tasks_.emplace_back(drain);
+    for (int lane = 1; lane <= helpers; ++lane) {
+      tasks_.emplace_back([drain, lane] { drain(lane); });
+    }
   }
   if (helpers == 1) {
     cv_.notify_one();
-  } else if (helpers > 1) {
+  } else {
     cv_.notify_all();
   }
-  drain();
+  drain(0);
   {
     std::unique_lock<std::mutex> lock(state->mu);
     state->all_done.wait(lock, [&] {

@@ -68,6 +68,31 @@ struct Measures {
   std::int64_t Dollars(std::int64_t row) { return dollars.At(row); }
 };
 
+/// A dense group accumulator over the key domain [0, card): slot k holds
+/// group key k, so a hit tallies straight into its slot. The sums are
+/// integers, so accumulators merge in any order to the same rows.
+std::vector<GroupRow> GroupSlots(std::int64_t card) {
+  std::vector<GroupRow> slots(static_cast<std::size_t>(card));
+  for (std::size_t k = 0; k < slots.size(); ++k) {
+    slots[k].key = static_cast<std::int64_t>(k);
+  }
+  return slots;
+}
+
+/// Adds `rows` rows summing to `units` and `dollars` to `group`.
+void Tally(GroupRow& group, std::int64_t rows, std::int64_t units,
+           std::int64_t dollars) {
+  group.rows += rows;
+  group.units_sold += units;
+  group.dollar_sales_cents += dollars;
+}
+
+/// Drops the empty slots in place (SQL GROUP BY emits no row for a group
+/// without matching fact rows), leaving sparse key-ascending rows.
+void CompactGroups(std::vector<GroupRow>* groups) {
+  std::erase_if(*groups, [](const GroupRow& g) { return g.rows == 0; });
+}
+
 /// Group sinks the scan kernels are templated on: NoGrouping compiles the
 /// per-hit group tally away entirely, so the ungrouped hot loops are
 /// byte-for-byte the pre-grouping kernels.
@@ -77,7 +102,7 @@ struct NoGrouping {
 };
 
 /// Per-row grouping: reads the group dimension's leaf through `leaf` and
-/// tallies the hit into its dense group slot. Used for every grouped scan
+/// tallies the hit into its group slot. Used for every grouped scan
 /// (aligned or not — on an aligned fragment all rows share the key, and
 /// the division is cheaper than threading the fragment key through the
 /// chunk cutter).
@@ -85,13 +110,11 @@ template <typename LeafOf>
 struct RowGrouping {
   LeafOf leaf;
   std::int64_t leaves_per;
-  MiniWarehouse::GroupAccum* acc;
+  std::vector<GroupRow>* groups;
 
   void Add(std::int64_t row, std::int64_t units, std::int64_t dollars) {
-    const auto k = static_cast<std::size_t>(leaf(row) / leaves_per);
-    ++acc->rows[k];
-    acc->units[k] += units;
-    acc->dollars[k] += dollars;
+    Tally((*groups)[static_cast<std::size_t>(leaf(row) / leaves_per)], 1,
+          units, dollars);
   }
 };
 
@@ -181,35 +204,6 @@ void ProcessRows(const IndexSet& indexes, std::int64_t begin,
 }
 
 }  // namespace
-
-void MiniWarehouse::GroupAccum::Reset(std::int64_t card) {
-  const auto n = static_cast<std::size_t>(card);
-  rows.assign(n, 0);
-  units.assign(n, 0);
-  dollars.assign(n, 0);
-  summarized.assign(n, 0);
-}
-
-void MiniWarehouse::GroupAccum::Merge(const GroupAccum& other) {
-  MDW_CHECK(other.rows.size() == rows.size(),
-            "group accumulators cover different key domains");
-  for (std::size_t k = 0; k < rows.size(); ++k) {
-    rows[k] += other.rows[k];
-    units[k] += other.units[k];
-    dollars[k] += other.dollars[k];
-    summarized[k] += other.summarized[k];
-  }
-}
-
-std::vector<GroupRow> MiniWarehouse::GroupAccum::Compact() const {
-  std::vector<GroupRow> out;
-  for (std::size_t k = 0; k < rows.size(); ++k) {
-    if (rows[k] == 0) continue;
-    out.push_back({static_cast<std::int64_t>(k), rows[k], units[k], dollars[k],
-                   summarized[k]});
-  }
-  return out;
-}
 
 MiniWarehouse::MiniWarehouse(StarSchema schema, std::uint64_t seed,
                              std::vector<FragAttr> cluster_attrs,
@@ -579,15 +573,17 @@ std::vector<GroupRow> MiniWarehouse::ExecuteFullScanGrouped(
   const auto& gh = schema_.dimension(gb.dim).hierarchy();
   MDW_CHECK(gb.depth >= 0 && gb.depth < gh.num_levels(),
             "GROUP BY level out of range");
-  GroupAccum acc;
-  acc.Reset(gh.Cardinality(gb.depth));
+  std::vector<GroupRow> groups = GroupSlots(gh.Cardinality(gb.depth));
   const std::int64_t leaves_per = gh.LeavesPer(gb.depth);
   ReferenceScan(query, gb.dim,
                 [&](std::int64_t group_leaf, std::int64_t units,
                     std::int64_t dollars) {
-                  acc.Tally(group_leaf / leaves_per, units, dollars);
+                  Tally(groups[static_cast<std::size_t>(group_leaf /
+                                                        leaves_per)],
+                        1, units, dollars);
                 });
-  return acc.Compact();
+  CompactGroups(&groups);
+  return groups;
 }
 
 MiniWarehouse::AggregateResult MiniWarehouse::ExecuteWithBitmaps(
@@ -658,16 +654,12 @@ void MiniWarehouse::ExecuteFragments(const StarQuery& query,
   ExecScratch& s = scratch != nullptr ? *scratch : local;
   ResolveBitmapAccesses(query, plan, &s.accesses_);
   const std::vector<BitmapAccess>& accesses = s.accesses_;
-  GroupContext gctx;
-  GroupAccum group_accum;
-  GroupAccum* groups = nullptr;
+  // A grouped execution tallies into exec->groups, one slot per key,
+  // compacted in place at the end.
+  std::vector<GroupRow>* groups = nullptr;
   if (plan.grouped()) {
-    gctx.grouped = true;
-    gctx.dim = plan.group_by()->dim;
-    gctx.leaves_per = plan.group_leaves_per();
-    gctx.card = plan.group_card();
-    group_accum.Reset(gctx.card);
-    groups = &group_accum;
+    exec->groups = GroupSlots(plan.group_card());
+    groups = &exec->groups;
   }
   // A summary run's prefix-sum fold cannot split its rows across groups,
   // so grouping below the fragmentation level (or on a non-fragmentation
@@ -707,7 +699,7 @@ void MiniWarehouse::ExecuteFragments(const StarQuery& query,
       ShardSelection selection;
       selection.fragments = 1;
       if (rows.rows() > 0) selection.scan.push_back(rows);
-      ExecuteSharded({&selection, 1}, shard, accesses, gctx, pool, options,
+      ExecuteSharded({&selection, 1}, shard, accesses, plan, pool, options,
                      groups, exec);
     }
   } else {
@@ -735,10 +727,10 @@ void MiniWarehouse::ExecuteFragments(const StarQuery& query,
               }));
       plan.MemoizeRoute(layout_id_, use_summaries, route);
     }
-    ExecuteSharded(*route, /*first_shard=*/0, accesses, gctx, pool, options,
+    ExecuteSharded(*route, /*first_shard=*/0, accesses, plan, pool, options,
                    groups, exec);
   }
-  if (groups != nullptr) exec->groups = groups->Compact();
+  if (groups != nullptr) CompactGroups(groups);
   exec->degraded = options.covered_only;
 }
 
@@ -775,9 +767,10 @@ void MiniWarehouse::ResolveBitmapAccesses(
 
 void MiniWarehouse::ScanChunk(const RowRange& chunk,
                               const std::vector<BitmapAccess>& accesses,
-                              const GroupContext& group,
+                              const QueryPlan& plan,
                               const CancellationToken& cancel,
-                              Partial* partial, GroupAccum* groups) const {
+                              Partial* partial,
+                              std::vector<GroupRow>* groups) const {
   const auto [begin, end] = chunk;
   WithColumns([&](const auto& open) {
     // The chunk's readers count their I/O straight into its partial.
@@ -796,10 +789,10 @@ void MiniWarehouse::ScanChunk(const RowRange& chunk,
     } else {
       // Grouped scans read the group dimension's leaf column through its
       // own reader (its I/O and status fold into the same partial).
-      auto keys = open(group.dim, partial, cancel);
+      auto keys = open(plan.group_by()->dim, partial, cancel);
       if (accesses.empty()) keys.PrefetchRun(begin, end);
       const auto leaf = [&keys](std::int64_t row) { return keys.At(row); };
-      RowGrouping<decltype(leaf)> g{leaf, group.leaves_per, groups};
+      RowGrouping<decltype(leaf)> g{leaf, plan.group_leaves_per(), groups};
       ProcessRows(*indexes_, begin, end, accesses, m, g, partial);
       partial->status.Update(keys.status());
     }
@@ -811,7 +804,7 @@ void MiniWarehouse::ScanChunk(const RowRange& chunk,
 void MiniWarehouse::FoldSummaryRun(const RowRange& run,
                                    const CancellationToken& cancel,
                                    Partial* partial, std::int64_t group_key,
-                                   GroupAccum* groups) const {
+                                   std::vector<GroupRow>* groups) const {
   partial->result.rows += run.rows();
   partial->rows_summarized += run.rows();
   // The prefix-sum columns answer the covered run from two values per
@@ -828,24 +821,26 @@ void MiniWarehouse::FoldSummaryRun(const RowRange& run,
   partial->result.units_sold += du;
   partial->result.dollar_sales_cents += dd;
   if (groups != nullptr && group_key >= 0) {
-    groups->TallySummary(group_key, run.rows(), du, dd);
+    GroupRow& g = (*groups)[static_cast<std::size_t>(group_key)];
+    Tally(g, run.rows(), du, dd);
+    g.rows_summarized += run.rows();
   }
 }
 
 void MiniWarehouse::ExecuteSharded(std::span<const ShardSelection> selections,
                                    int first_shard,
                                    const std::vector<BitmapAccess>& accesses,
-                                   const GroupContext& group,
+                                   const QueryPlan& plan,
                                    const ThreadPool* pool,
                                    const ExecOptions& options,
-                                   GroupAccum* groups,
+                                   std::vector<GroupRow>* groups,
                                    MdhfExecution* exec) const {
   // Cut every shard's scan ranges with ONE global grain (a few chunks per
   // lane across all shards), so stealing has granularity even when one
   // shard holds most of the work. Covered-only degraded execution drops
   // the scan side entirely — residual fragments are skipped, not
   // partially scanned — leaving just the summary folds below.
-  const int lanes = pool == nullptr ? 1 : pool->size() + 1;
+  const int lanes = ThreadPool::Lanes(pool);
   std::int64_t total_scan = 0;
   std::size_t scan_ranges = 0;
   for (const auto& sel : selections) {
@@ -853,57 +848,48 @@ void MiniWarehouse::ExecuteSharded(std::span<const ShardSelection> selections,
     scan_ranges += sel.scan.size();
   }
   const std::int64_t grain = ChunkGrain(total_scan, lanes);
-  // Selection s's chunks are chunks[first_chunk[s] .. first_chunk[s + 1]).
+  // Shard s's chunks are chunks[first_chunk[s] .. first_chunk[s + 1]),
+  // queue s of the parallel loop.
   std::vector<RowRange> chunks;
   std::vector<std::size_t> first_chunk(selections.size() + 1, 0);
+  std::vector<std::int64_t> queue_sizes(selections.size(), 0);
   if (!options.covered_only) {
     chunks.reserve(static_cast<std::size_t>(total_scan / grain) +
                    scan_ranges);
     for (std::size_t s = 0; s < selections.size(); ++s) {
       CutRanges(selections[s].scan, grain, &chunks);
       first_chunk[s + 1] = chunks.size();
-    }
-  }
-
-  // One private partial per chunk; affinity tasks (one queue per shard,
-  // idle lanes steal) or a serial loop fill them, and the merge below is
-  // the only point that reads them — in fixed (shard, chunk) order, so
-  // the record is bit-identical at any worker count.
-  std::vector<Partial> partials(chunks.size());
-  bool all_ran = true;
-  if (pool != nullptr && chunks.size() >= 2) {
-    // Grouped runs mirror the scan partials with per-chunk group
-    // accumulators — element-wise integer sums, so the merge order never
-    // changes the grouped result. Serial runs tally straight into
-    // `groups`.
-    std::vector<GroupAccum> gpartials;
-    if (groups != nullptr) {
-      gpartials.resize(chunks.size());
-      for (auto& g : gpartials) g.Reset(group.card);
-    }
-    std::vector<std::int64_t> queue_sizes(selections.size());
-    for (std::size_t s = 0; s < selections.size(); ++s) {
       queue_sizes[s] =
           static_cast<std::int64_t>(first_chunk[s + 1] - first_chunk[s]);
     }
-    all_ran = pool->ParallelForQueues(
-        queue_sizes,
-        [&](int s, std::int64_t c) {
-          const std::size_t i = first_chunk[static_cast<std::size_t>(s)] +
-                                static_cast<std::size_t>(c);
-          ScanChunk(chunks[i], accesses, group, options.cancel, &partials[i],
-                    groups == nullptr ? nullptr : &gpartials[i]);
-        },
-        options.cancel);
-    for (const auto& g : gpartials) groups->Merge(g);
-  } else {
-    for (std::size_t i = 0; i < chunks.size(); ++i) {
-      if (options.cancel.ShouldStop()) {
-        all_ran = false;
-        break;
-      }
-      ScanChunk(chunks[i], accesses, group, options.cancel, &partials[i],
-                groups);
+  }
+
+  // One private partial per chunk, read only by the fixed-order merge
+  // below, so the record is bit-identical at any worker count. Grouped
+  // hits tally per lane: lane 0 into `groups`, every other lane into its
+  // own accumulator, made on its first chunk and merged after the join —
+  // integer sums, so the merge order never changes the grouped rows.
+  std::vector<Partial> partials(chunks.size());
+  std::vector<std::vector<GroupRow>> lane_groups(
+      groups == nullptr ? 0 : static_cast<std::size_t>(lanes - 1));
+  bool all_ran = ThreadPool::ParallelForQueues(
+      pool, queue_sizes,
+      [&](int lane, int s, std::int64_t c) {
+        const std::size_t i = first_chunk[static_cast<std::size_t>(s)] +
+                              static_cast<std::size_t>(c);
+        std::vector<GroupRow>* g = groups;
+        if (g != nullptr && lane > 0) {
+          g = &lane_groups[static_cast<std::size_t>(lane - 1)];
+          if (g->empty()) *g = GroupSlots(plan.group_card());
+        }
+        ScanChunk(chunks[i], accesses, plan, options.cancel, &partials[i], g);
+      },
+      options.cancel);
+  for (const auto& lane : lane_groups) {
+    // Scans summarize no rows, so three sums per slot merge a lane.
+    for (std::size_t k = 0; k < lane.size(); ++k) {
+      Tally((*groups)[k], lane[k].rows, lane[k].units_sold,
+            lane[k].dollar_sales_cents);
     }
   }
 

@@ -85,9 +85,9 @@ class MiniWarehouse {
   };
 
  public:
-  /// Reusable per-batch execution buffers (opaque): pass the same scratch
-  /// to consecutive ExecuteWithPlan calls to avoid a heap allocation per
-  /// query. Not thread-safe; use one scratch per executing thread.
+  /// Reusable execution buffers (opaque): pass the same scratch to
+  /// consecutive ExecuteWithPlan calls to avoid a heap allocation per
+  /// query. Not thread-safe; a parallel batch keeps one scratch per lane.
   class ExecScratch {
    public:
     ExecScratch() = default;
@@ -95,48 +95,6 @@ class MiniWarehouse {
    private:
     friend class MiniWarehouse;
     std::vector<BitmapAccess> accesses_;
-  };
-
-  /// Resolved grouping of one execution (derived from the plan):
-  /// a fact row's group key is its group-dimension leaf / leaves_per.
-  /// Execution-internal, public only so the kernel helpers can name it.
-  struct GroupContext {
-    bool grouped = false;
-    DimId dim = -1;
-    std::int64_t leaves_per = 1;
-    std::int64_t card = 0;  ///< dense key domain [0, card)
-  };
-
-  /// Dense per-chunk group accumulator over the full key domain. Chunk
-  /// counts are bounded (a few per lane), so dense beats hashing; the
-  /// integer element-wise merge is order-independent, keeping grouped
-  /// results bit-identical at any worker x shard count.
-  /// Execution-internal, public only so the kernel helpers can name it.
-  struct GroupAccum {
-    std::vector<std::int64_t> rows;
-    std::vector<std::int64_t> units;
-    std::vector<std::int64_t> dollars;
-    std::vector<std::int64_t> summarized;
-
-    void Reset(std::int64_t card);
-    void Tally(std::int64_t key, std::int64_t u, std::int64_t d) {
-      const auto k = static_cast<std::size_t>(key);
-      ++rows[k];
-      units[k] += u;
-      dollars[k] += d;
-    }
-    void TallySummary(std::int64_t key, std::int64_t n, std::int64_t u,
-                      std::int64_t d) {
-      const auto k = static_cast<std::size_t>(key);
-      rows[k] += n;
-      summarized[k] += n;
-      units[k] += u;
-      dollars[k] += d;
-    }
-    void Merge(const GroupAccum& other);
-    /// Sparse key-ascending rows; groups with no matching fact rows are
-    /// dropped (SQL GROUP BY emits no row for an empty group).
-    std::vector<GroupRow> Compact() const;
   };
 
   /// Per-execution controls (declared at namespace scope so that
@@ -369,17 +327,18 @@ class MiniWarehouse {
   ///
   /// With `pool` the plan's row ranges are split into tasks (one
   /// affinity queue per shard, idle lanes steal), each accumulating a
-  /// private partial merged in fixed order, so the result — counters
-  /// included — is identical for any worker count; nullptr runs
-  /// serially. `scratch` reuses its buffers instead of allocating per
-  /// query (nullptr = allocate locally); a batch loop passes one scratch
-  /// to all of its queries. `options` adds cooperative cancellation
-  /// and covered-only degradation: when options.cancel trips the
-  /// remaining chunks are abandoned and `status` carries the token's
-  /// typed error (kDeadlineExceeded/kCancelled) — the result must be
-  /// discarded, as for a storage error; a token that trips only after
-  /// the last chunk finished leaves the (complete, correct) record
-  /// untouched.
+  /// private partial merged in fixed order (grouped hits tally into one
+  /// accumulator per lane, integer sums merged after the join), so the
+  /// result — counters included — is identical for any worker count;
+  /// nullptr runs serially. `scratch` reuses its buffers instead of
+  /// allocating per query (nullptr = allocate locally); a batch passes
+  /// each lane's scratch to all of that lane's queries. `options` adds
+  /// cooperative cancellation and covered-only degradation: when
+  /// options.cancel trips the remaining chunks are abandoned and
+  /// `status` carries the token's typed error
+  /// (kDeadlineExceeded/kCancelled) — the result must be discarded, as
+  /// for a storage error; a token that trips only after the last chunk
+  /// finished leaves the (complete, correct) record untouched.
   MdhfExecution ExecuteWithPlan(const StarQuery& query, const QueryPlan& plan,
                                 const ThreadPool* pool = nullptr,
                                 ExecScratch* scratch = nullptr,
@@ -434,29 +393,31 @@ class MiniWarehouse {
   /// (evaluated over the range only) into `partial`, reading measures
   /// through per-chunk column readers that count their I/O into
   /// `partial`. One call per scan chunk; safe to run concurrently on
-  /// distinct partials. With `groups` non-null every hit is additionally
-  /// tallied into its per-row group key (group.dim leaf /
-  /// group.leaves_per).
+  /// distinct partials and group accumulators. With `groups` (a dense
+  /// accumulator: slot k is group key k) non-null every hit is
+  /// additionally tallied into its row's group, the plan's GROUP BY leaf
+  /// / plan.group_leaves_per().
   void ScanChunk(const RowRange& chunk,
                  const std::vector<BitmapAccess>& accesses,
-                 const GroupContext& group, const CancellationToken& cancel,
-                 Partial* partial, GroupAccum* groups) const;
+                 const QueryPlan& plan, const CancellationToken& cancel,
+                 Partial* partial, std::vector<GroupRow>* groups) const;
   /// Executes per-shard selections — selections[i] belongs to shard
-  /// first_shard + i — into `exec` (empty on entry): affinity tasks +
-  /// stealing on `pool` (serial in shard order without one), fixed-order
-  /// merge.
+  /// first_shard + i — into `exec` (empty on entry): one parallel loop
+  /// on `pool` (inline without one) with affinity queues, stealing and
+  /// per-lane group tallies, then a fixed-order merge.
   void ExecuteSharded(std::span<const ShardSelection> selections,
                       int first_shard,
                       const std::vector<BitmapAccess>& accesses,
-                      const GroupContext& group, const ThreadPool* pool,
-                      const ExecOptions& options, GroupAccum* groups,
+                      const QueryPlan& plan, const ThreadPool* pool,
+                      const ExecOptions& options,
+                      std::vector<GroupRow>* groups,
                       MdhfExecution* exec) const;
   /// Folds a summary run [begin, end) into `partial` from the prefix
   /// sums. With `groups` non-null the run is additionally credited to
   /// `group_key` (aligned grouped plans: the whole run lies in one group).
   void FoldSummaryRun(const RowRange& run, const CancellationToken& cancel,
                       Partial* partial, std::int64_t group_key,
-                      GroupAccum* groups) const;
+                      std::vector<GroupRow>* groups) const;
 
   StarSchema schema_;
   std::uint64_t layout_id_ = 0;

@@ -1,6 +1,5 @@
 #include "core/warehouse.h"
 
-#include <algorithm>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -194,32 +193,24 @@ BatchOutcome Warehouse::ExecuteBatch(std::span<const StarQuery> queries,
   }
 
   // Materialised execution has no timing model, so `streams` is ignored
-  // and a batch is just the per-query outcomes.
-  const MiniWarehouse& mini = store_->mini;
+  // and a batch is just the per-query outcomes. Inter-query parallelism:
+  // one item per query, each executed serially on its lane (a batch of
+  // one runs its query on the pool instead). Outcomes land in input
+  // order — deterministic. Each lane reuses one scratch across its
+  // queries.
   const ThreadPool* pool = store_->pool();
-  if (pool != nullptr && queries.size() > 1) {
-    // Inter-query parallelism: one task per query, each executed serially
-    // inside its task (the pool is never nested). Outcomes land in input
-    // order — deterministic. Each task owns a scratch for the query it
-    // claims (scratches are not thread-safe, so the serial per-batch
-    // reuse doesn't apply here).
-    batch.queries.resize(queries.size());
-    pool->ParallelFor(static_cast<std::int64_t>(queries.size()),
-                      [&](std::int64_t i) {
-                        const auto u = static_cast<std::size_t>(i);
-                        MiniWarehouse::ExecScratch scratch;
-                        batch.queries[u] = ExecuteOnStore(
-                            mini, queries[u], plans[u], nullptr, &scratch);
-                      });
-  } else {
-    // One scratch for the whole batch: the per-query bitmap-access buffer
-    // is resolved in place instead of reallocated every iteration.
-    MiniWarehouse::ExecScratch scratch;
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-      batch.queries.push_back(
-          ExecuteOnStore(mini, queries[i], plans[i], pool, &scratch));
-    }
-  }
+  const ThreadPool* query_pool = queries.size() == 1 ? pool : nullptr;
+  std::vector<MiniWarehouse::ExecScratch> scratch(
+      static_cast<std::size_t>(ThreadPool::Lanes(pool)));
+  batch.queries.resize(queries.size());
+  ThreadPool::ParallelForQueues(
+      pool, {static_cast<std::int64_t>(queries.size())},
+      [&](int lane, int /*queue*/, std::int64_t i) {
+        const auto u = static_cast<std::size_t>(i);
+        batch.queries[u] =
+            ExecuteOnStore(store_->mini, queries[u], plans[u], query_pool,
+                           &scratch[static_cast<std::size_t>(lane)]);
+      });
   return batch;
 }
 
@@ -263,20 +254,18 @@ BatchOutcome Warehouse::Serve(std::span<const Arrival> arrivals,
 
   // ---- real execution, replaying the dispatch order on the pool ----
   // Outcome slot k belongs to the k-th SERVED query in admission order;
-  // the pool claims work in dispatch order (ParallelFor hands out
-  // ascending indices), so the executor starts queries exactly as the
-  // virtual-time policy decided while outcomes land deterministically.
-  std::vector<std::pair<std::int64_t, std::size_t>> dispatch_order;
+  // the pool claims items in ascending order and item i is the query of
+  // dispatch_seq i (dense from 0 over the served queries), so the
+  // executor starts queries exactly as the virtual-time policy decided
+  // while outcomes land deterministically.
   std::vector<std::size_t> served_slots;
   for (std::size_t slot = 0; slot < schedule.admitted.size(); ++slot) {
-    if (!schedule.admitted[slot].served) continue;
-    dispatch_order.emplace_back(schedule.admitted[slot].dispatch_seq, slot);
-    served_slots.push_back(slot);
+    if (schedule.admitted[slot].served) served_slots.push_back(slot);
   }
-  std::sort(dispatch_order.begin(), dispatch_order.end());
-  std::vector<std::size_t> outcome_slot_of(schedule.admitted.size(), 0);
+  std::vector<std::size_t> outcome_of_dispatch(served_slots.size());
   for (std::size_t k = 0; k < served_slots.size(); ++k) {
-    outcome_slot_of[served_slots[k]] = k;
+    outcome_of_dispatch[static_cast<std::size_t>(
+        schedule.admitted[served_slots[k]].dispatch_seq)] = k;
   }
 
   BatchOutcome batch;
@@ -286,9 +275,9 @@ BatchOutcome Warehouse::Serve(std::span<const Arrival> arrivals,
     return code == StatusCode::kCancelled ||
            code == StatusCode::kDeadlineExceeded;
   };
-  const auto run_one = [&](std::size_t slot,
+  const auto run_one = [&](std::size_t k,
                            MiniWarehouse::ExecScratch* scratch) {
-    const ScheduledQuery& sq = schedule.admitted[slot];
+    const ScheduledQuery& sq = schedule.admitted[served_slots[k]];
     const auto ai = static_cast<std::size_t>(sq.arrival_index);
     // Degraded dispatches replay in covered-only mode; a per-query
     // wall-clock budget (when configured) links under the serve-wide
@@ -330,21 +319,18 @@ BatchOutcome Warehouse::Serve(std::span<const Arrival> arrivals,
       retry.requeues = out.requeues + 1;
       out = std::move(retry);
     }
-    batch.queries[outcome_slot_of[slot]] = std::move(out);
+    batch.queries[k] = std::move(out);
   };
-  if (const ThreadPool* pool = store_->pool();
-      pool != nullptr && dispatch_order.size() > 1) {
-    pool->ParallelFor(static_cast<std::int64_t>(dispatch_order.size()),
-                      [&](std::int64_t i) {
-                        MiniWarehouse::ExecScratch scratch;
-                        run_one(dispatch_order[static_cast<std::size_t>(i)]
-                                    .second,
-                                &scratch);
-                      });
-  } else {
-    MiniWarehouse::ExecScratch scratch;
-    for (const auto& [seq, slot] : dispatch_order) run_one(slot, &scratch);
-  }
+  // Each query executes serially on its lane, reusing the lane's scratch.
+  const ThreadPool* pool = store_->pool();
+  std::vector<MiniWarehouse::ExecScratch> scratch(
+      static_cast<std::size_t>(ThreadPool::Lanes(pool)));
+  ThreadPool::ParallelForQueues(
+      pool, {static_cast<std::int64_t>(served_slots.size())},
+      [&](int lane, int /*queue*/, std::int64_t i) {
+        run_one(outcome_of_dispatch[static_cast<std::size_t>(i)],
+                &scratch[static_cast<std::size_t>(lane)]);
+      });
 
   ServeMetrics metrics = ComputeServeMetrics(schedule, arrivals, config);
   // Failure accounting by stream: outcome slot k is the k-th served query

@@ -76,6 +76,9 @@ std::shared_ptr<const QueryPlan> PlanCache::GetOrPlan(
   // derived twice under a rare race is correct either way.
   auto plan = std::make_shared<const QueryPlan>(planner.Plan(query));
 
+  // Declared before the lock, so the evicted plan (and its route memo) is
+  // freed after the unlock.
+  std::shared_ptr<const QueryPlan> evicted;
   std::lock_guard<std::mutex> lock(mu_);
   if (const auto* resident = cache_.Peek(key)) {
     // Lost the race to another thread; keep the resident entry.
@@ -83,7 +86,8 @@ std::shared_ptr<const QueryPlan> PlanCache::GetOrPlan(
     return *resident;
   }
   cache_.EvictToFit(
-      1, [](const auto&) { return true; }, [](const auto&, const auto&) {});
+      1, [](const auto&) { return true; },
+      [&evicted](const auto&, auto& victim) { evicted = std::move(victim); });
   return *cache_.Insert(key, std::move(plan), /*weight=*/1);
 }
 

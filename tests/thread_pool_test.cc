@@ -4,7 +4,9 @@
 
 #include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace mdw {
@@ -67,7 +69,7 @@ TEST(ThreadPoolTest, ParallelForQueuesVisitsEveryItemExactlyOnce) {
   for (const auto s : sizes) {
     visits.emplace_back(static_cast<std::size_t>(s));
   }
-  pool.ParallelForQueues(sizes, [&](int q, std::int64_t i) {
+  pool.ParallelForQueues(sizes, [&](int, int q, std::int64_t i) {
     visits[static_cast<std::size_t>(q)][static_cast<std::size_t>(i)]
         .fetch_add(1);
   });
@@ -81,12 +83,13 @@ TEST(ThreadPoolTest, ParallelForQueuesVisitsEveryItemExactlyOnce) {
 TEST(ThreadPoolTest, ParallelForQueuesHandlesEmptyAndSingleItem) {
   const ThreadPool pool(2);
   std::atomic<std::int64_t> count{0};
-  pool.ParallelForQueues({}, [&](int, std::int64_t) { count.fetch_add(1); });
+  pool.ParallelForQueues({},
+                         [&](int, int, std::int64_t) { count.fetch_add(1); });
   pool.ParallelForQueues({0, 0, 0},
-                         [&](int, std::int64_t) { count.fetch_add(1); });
+                         [&](int, int, std::int64_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 0);
   pool.ParallelForQueues({0, 1, 0},
-                         [&](int q, std::int64_t) { count.fetch_add(q); });
+                         [&](int, int q, std::int64_t) { count.fetch_add(q); });
   EXPECT_EQ(count.load(), 1);
 }
 
@@ -97,7 +100,7 @@ TEST(ThreadPoolTest, ParallelForQueuesStealsAcrossSkewedQueues) {
   const std::vector<std::int64_t> sizes = {10'000, 1, 1, 1};
   std::atomic<std::int64_t> count{0};
   pool.ParallelForQueues(sizes,
-                         [&](int, std::int64_t) { count.fetch_add(1); });
+                         [&](int, int, std::int64_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 10'003);
 }
 
@@ -106,9 +109,87 @@ TEST(ThreadPoolTest, NestedParallelForQueuesRunsInlineWithoutDeadlock) {
   std::atomic<std::int64_t> count{0};
   pool.ParallelFor(4, [&](std::int64_t) {
     pool.ParallelForQueues({50, 50},
-                           [&](int, std::int64_t) { count.fetch_add(1); });
+                           [&](int, int, std::int64_t) { count.fetch_add(1); });
   });
   EXPECT_EQ(count.load(), 400);
+}
+
+TEST(ThreadPoolTest, EachLaneIsOneThreadRunningOneItemAtATime) {
+  // Skewed queues keep every lane stealing from queue 0 at once.
+  const ThreadPool pool(3);
+  const std::vector<std::int64_t> sizes = {10'000, 1, 1, 1};
+  const int lanes = ThreadPool::Lanes(&pool);
+  ASSERT_EQ(lanes, 4);
+  std::vector<std::atomic<bool>> busy(static_cast<std::size_t>(lanes));
+  std::vector<std::thread::id> thread_of(static_cast<std::size_t>(lanes));
+  std::mutex mu;
+  std::atomic<std::int64_t> count{0}, bad_lane{0}, overlaps{0}, moves{0},
+      lane0_elsewhere{0};
+  const std::thread::id caller = std::this_thread::get_id();
+  pool.ParallelForQueues(sizes, [&](int lane, int, std::int64_t) {
+    if (lane < 0 || lane >= lanes) {
+      bad_lane.fetch_add(1);
+      return;
+    }
+    const auto l = static_cast<std::size_t>(lane);
+    // The lane's busy flag must be free on entry: one lane never runs two
+    // items at once.
+    if (busy[l].exchange(true)) overlaps.fetch_add(1);
+    // Lane 0 is the calling thread.
+    if (lane == 0 && std::this_thread::get_id() != caller) {
+      lane0_elsewhere.fetch_add(1);
+    }
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      if (thread_of[l] == std::thread::id()) {
+        thread_of[l] = std::this_thread::get_id();
+      } else if (thread_of[l] != std::this_thread::get_id()) {
+        moves.fetch_add(1);
+      }
+    }
+    count.fetch_add(1);
+    busy[l].store(false);
+  });
+  EXPECT_EQ(count.load(), 10'003);
+  EXPECT_EQ(bad_lane.load(), 0);
+  EXPECT_EQ(overlaps.load(), 0);
+  EXPECT_EQ(moves.load(), 0);
+  EXPECT_EQ(lane0_elsewhere.load(), 0);
+}
+
+TEST(ThreadPoolTest, NullPoolRunsInlineAsLaneZeroInQueueOrder) {
+  EXPECT_EQ(ThreadPool::Lanes(nullptr), 1);
+  std::vector<std::pair<int, std::int64_t>> order;
+  std::int64_t off_lane = 0, off_thread = 0;
+  const std::thread::id caller = std::this_thread::get_id();
+  EXPECT_TRUE(ThreadPool::ParallelForQueues(
+      nullptr, {2, 0, 3}, [&](int lane, int q, std::int64_t i) {
+        if (lane != 0) ++off_lane;
+        if (std::this_thread::get_id() != caller) ++off_thread;
+        order.emplace_back(q, i);
+      }));
+  EXPECT_EQ(off_lane, 0);
+  EXPECT_EQ(off_thread, 0);
+  const std::vector<std::pair<int, std::int64_t>> expected = {
+      {0, 0}, {0, 1}, {2, 0}, {2, 1}, {2, 2}};
+  EXPECT_EQ(order, expected);
+}
+
+TEST(ThreadPoolTest, NullPoolStopsOnATrippedToken) {
+  const CancellationToken cancel = CancellationToken::Manual();
+  std::int64_t ran = 0;
+  EXPECT_FALSE(ThreadPool::ParallelForQueues(
+      nullptr, {5, 5},
+      [&](int, int, std::int64_t) {
+        if (++ran == 3) cancel.Cancel();
+      },
+      cancel));
+  EXPECT_EQ(ran, 3);
+  // A token tripped before the loop starts runs nothing.
+  ran = 0;
+  EXPECT_FALSE(ThreadPool::ParallelForQueues(
+      nullptr, {1}, [&](int, int, std::int64_t) { ++ran; }, cancel));
+  EXPECT_EQ(ran, 0);
 }
 
 TEST(ThreadPoolTest, ConcurrentCallersShareOnePool) {
